@@ -16,6 +16,7 @@ from .errors import (
     ParseError,
     ReconstructionAborted,
     SchemaExhausted,
+    UsageError,
 )
 from .guess import (
     GuessResult,
@@ -47,6 +48,7 @@ __all__ = [
     "ParseError",
     "ReconstructionAborted",
     "SchemaExhausted",
+    "UsageError",
     "GuessResult",
     "OperatorExpr",
     "Options",

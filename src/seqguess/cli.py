@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CheckFailed, ParseError, ReconstructionAborted
+from .errors import CheckFailed, ParseError, ReconstructionAborted, UsageError
 from .guess import Options, guess, guess_class
 from .models import CLASS_NAMES
 from .render import result_to_json, to_obj
@@ -329,7 +329,7 @@ def _load_input(args) -> InputSpec:
 def _options_from_args(args) -> Options:
     names = tuple(s.strip() for s in args.names.split(","))
     if len(names) != 3 or not all(names):
-        raise ValueError("--names needs three comma-separated names: function,index,variable")
+        raise UsageError("--names needs three comma-separated names: function,index,variable")
     seed = args.seed if args.seed is not None else int(os.environ.get("SEQGUESS_SEED", "0"))
     return Options(
         max_shift=args.max_shift,
@@ -361,16 +361,16 @@ def main(argv=None) -> int:
         classes = [c.strip() for c in args.klass.split(",") if c.strip()]
         for c in classes:
             if c not in CLASS_NAMES:
-                raise ValueError(f"unknown class {c!r}; choose from {','.join(CLASS_NAMES)}")
+                raise UsageError(f"unknown class {c!r}; choose from {','.join(CLASS_NAMES)}")
         operators = None
         if args.operators is not None:
             operators = tuple(o.strip() for o in args.operators.split(",") if o.strip())
             for o in operators:
                 if o not in ("sum", "product"):
-                    raise ValueError(f"unknown operator {o!r}; choose from sum,product")
+                    raise UsageError(f"unknown operator {o!r}; choose from sum,product")
         q_mode = args.q or bool(args.param)
         if operators and q_mode:
-            raise ValueError("operator search works on plain rational sequences, not in q mode")
+            raise UsageError("operator search works on plain rational sequences, not in q mode")
     except (ValueError, OSError) as e:
         print(f"seqguess: {e}", file=sys.stderr)
         return 2
@@ -390,15 +390,12 @@ def main(argv=None) -> int:
     except ReconstructionAborted as e:
         print(f"seqguess: aborted: {e}", file=sys.stderr)
         return 3
-    except CheckFailed as e:
+    except UsageError as e:
+        print(f"seqguess: {e}", file=sys.stderr)
+        return 2
+    except (CheckFailed, ValueError) as e:
         print(f"seqguess: internal error: {e}", file=sys.stderr)
         return 3
-    except ParseError as e:
-        print(f"seqguess: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
-        print(f"seqguess: {e}", file=sys.stderr)
-        return 2
 
     if not results:
         if args.json:

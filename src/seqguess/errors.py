@@ -37,7 +37,15 @@ class CheckFailed(Exception):
     """
 
 
-class ParseError(ValueError):
+class UsageError(ValueError):
+    """The caller's input or options are invalid.
+
+    Kept apart from other ValueErrors so that a front end can tell a bad
+    request from an internal failure of the engine.
+    """
+
+
+class ParseError(UsageError):
     """Invalid input text; carries a position for CLI diagnostics."""
 
     def __init__(self, message: str, line: int = 1, column: int = 1):

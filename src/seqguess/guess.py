@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import BadModulus, NoSolution, SchemaExhausted
+from .errors import BadModulus, NoSolution, SchemaExhausted, UsageError
 from .lift import LiftOptions, do_solve
 from .modarith import ModPrime, sample_prime
 from .models import (
@@ -123,13 +123,15 @@ def _options(opts, kw) -> Options:
 
 def _validate(opts: Options):
     if opts.safety < 0:
-        raise ValueError("safety must be nonnegative")
+        raise UsageError("safety must be nonnegative")
     if opts.check not in ("deterministic", "montecarlo", "none"):
-        raise ValueError(f"unknown check mode {opts.check!r}")
+        raise UsageError(f"unknown check mode {opts.check!r}")
     if opts.max_mixed_degree < 0:
-        raise ValueError("max_mixed_degree must be nonnegative")
+        raise UsageError("max_mixed_degree must be nonnegative")
     if opts.somos is not False and opts.homogeneous is True:
-        raise ValueError("somos needs an integer homogeneous degree, not homogeneous=true")
+        raise UsageError("somos needs an integer homogeneous degree, not homogeneous=true")
+    if not isinstance(opts.homogeneous, bool) and opts.homogeneous < 0:
+        raise UsageError("homogeneous degree must be nonnegative")
 
 
 def _coerce_terms(terms, q: bool) -> list:
@@ -137,14 +139,14 @@ def _coerce_terms(terms, q: bool) -> list:
     for t in terms:
         if isinstance(t, RatPoly):
             if not q:
-                raise ValueError("rational-function terms need q mode")
+                raise UsageError("rational-function terms need q mode")
             out.append(t)
         elif q:
             out.append(RatPoly.coerce(t))
         else:
             out.append(Fraction(t))
     if len(out) < 2:
-        raise ValueError("need at least two terms")
+        raise UsageError("need at least two terms")
     return out
 
 
@@ -306,8 +308,18 @@ def _lift_options(opts: Options) -> LiftOptions:
 
 
 def _make_builder(terms, schema: Schema):
+    """Image builder for one schema; each (prime, q point) is built once.
+
+    Every degree vector of the schema starts from the same primes (and,
+    in q mode, the same points), so later vectors reuse the images.
+    """
+    images: dict = {}
+
     def builder(fp, t_point):
-        return build_images(terms, schema, fp, q_point=t_point)
+        key = (fp.p, t_point)
+        if key not in images:
+            images[key] = build_images(terms, schema, fp, q_point=t_point)
+        return images[key]
 
     return builder
 
@@ -387,6 +399,7 @@ def _search(terms, klass: str, opts: Options, q: bool) -> list[GuessResult]:
             _dbg(f"{klass} m={m} sigma={sigma} unknowns={total} vectors={len(vectors)}")
         builder = _make_builder(terms, schema)
         exact = None  # built on the first candidate that needs checking
+        verdicts: dict = {}  # lifted columns -> filter_interpolating output
         for bounds in vectors:
             if opts.debug:
                 _dbg(f"  bounds {bounds}")
@@ -396,7 +409,10 @@ def _search(terms, klass: str, opts: Options, q: bool) -> list[GuessResult]:
                 continue
             if exact is None:
                 exact = check_images(terms, schema, F)
-            cols = filter_interpolating(lifted.columns, schema, terms, opts.check_extra_values, exact)
+            key = tuple(tuple(map(tuple, col)) for col in lifted.columns)
+            if key not in verdicts:
+                verdicts[key] = filter_interpolating(lifted.columns, schema, terms, opts.check_extra_values, exact)
+            cols = verdicts[key]
             for col in cols:
                 if opts.check == "deterministic":
                     if not opts.check_extra_values and _first_failure(col, schema, *exact, F) is not None:
@@ -420,18 +436,18 @@ def _search(terms, klass: str, opts: Options, q: bool) -> list[GuessResult]:
 
 def _somos_values(opts: Options) -> range:
     if opts.max_shift is None:
-        raise ValueError("somos=true needs max_shift")
+        raise UsageError("somos=true needs max_shift")
     h = opts.homogeneous
     count = h if (h is not True and h is not False and isinstance(h, int)) else opts.max_power
     if count is None:
-        raise ValueError("somos=true needs max_power or an integer homogeneous degree")
+        raise UsageError("somos=true needs max_power or an integer homogeneous degree")
     return range(2, opts.max_shift * count + 1)
 
 
 def guess_class(terms, klass: str, opts: Options | None = None, *, q: bool = False, **kw) -> list[GuessResult]:
     """Guess equations of one class; empty list when nothing fits."""
     if klass not in CLASS_NAMES:
-        raise ValueError(f"unknown class {klass!r}")
+        raise UsageError(f"unknown class {klass!r}")
     opts = _options(opts, kw)
     _validate(opts)
     terms = _coerce_terms(terms, q)
@@ -489,7 +505,7 @@ def _resolve_guesser(g):
             return guess_class(terms, _klass, opts)
 
         return run
-    raise ValueError(f"unknown guesser {g!r}")
+    raise UsageError(f"unknown guesser {g!r}")
 
 
 def _op_dfs(terms, depth: int, guessers, ops, opts: Options) -> list[OperatorExpr]:
@@ -533,10 +549,10 @@ def guess(terms, guessers=("rat",), operators=("sum", "product"), opts: Options 
     _validate(opts)
     for op in operators:
         if op not in ("sum", "product"):
-            raise ValueError(f"unknown operator {op!r}")
+            raise UsageError(f"unknown operator {op!r}")
     resolved = [_resolve_guesser(g) for g in guessers]
     try:
         terms = [Fraction(t) for t in terms]
     except TypeError:
-        raise ValueError("operator search needs plain rational terms") from None
+        raise UsageError("operator search needs plain rational terms") from None
     return _op_dfs(terms, 0, resolved, tuple(operators), opts)

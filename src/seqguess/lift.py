@@ -14,12 +14,19 @@ Unlucky moduli are detected by comparing the shape fingerprints of the
 normalized modular bases (see sigma_normalize): a mismatch marks either
 the new image or everything accumulated so far as bad.  A reconstruction
 candidate is only returned after a fresh modulus reproduces it exactly.
+
+Most solves of a search end in NoSolution, so that outcome is kept cheap:
+the first image of a level is tested on the raw order basis, whose
+defects are already the normal-form ones (the iteration returns a
+reduced basis), and the rational domain draws its primes from a shared
+list per (seed, bits) instead of re-sampling the same sequence per solve.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -101,6 +108,27 @@ class LiftResult:
     state: LiftState
 
 
+_PRIME_LISTS: dict[tuple[int, int], tuple[random.Random, list[ModPrime], set[int]]] = {}
+_PRIME_LOCK = threading.Lock()
+
+
+def _nth_field(seed: int, bits: int, i: int) -> ModPrime:
+    """Field of the i-th prime that random.Random(seed) + sample_prime draw.
+
+    The list grows lazily and is shared by every solve (and thread) with
+    the same seed and bit size; each draw excludes the earlier ones, so
+    the sequence equals a fresh per-solve sampling loop.  Fields are kept
+    rather than ints because ModPrime re-tests primality when built.
+    """
+    with _PRIME_LOCK:
+        rng, fields, seen = _PRIME_LISTS.setdefault((seed, bits), (random.Random(seed), [], set()))
+        while len(fields) <= i:
+            p = sample_prime(bits, exclude=seen, rng=rng)
+            fields.append(ModPrime(p))
+            seen.add(p)
+        return fields[i]
+
+
 def _positive(record: ReductionRecord) -> int:
     return sum(1 for d in record.defects if d >= 1)
 
@@ -111,15 +139,21 @@ def _emit(state: LiftState, opts: LiftOptions, *event):
         opts.debug(" ".join(str(x) for x in event))
 
 
-def _solve_image(builder: ProblemBuilder, bounds: list[int], fp: ModPrime, t_point, tie_break: str):
+def _solve_image(builder: ProblemBuilder, bounds: list[int], fp: ModPrime, t_point, tie_break: str,
+                 first: bool):
     """One base solve: normalized basis -> (record, flat padded residues).
 
     Solution-column components are padded to their degree bounds so the
     flat layout depends only on the record, never on accidental degree
-    drops mod p.
+    drops mod p.  `first` marks the first image of a level (no record to
+    compare with yet): there an empty raw basis raises NoSolution before
+    normalizing, since the raw defects equal the normal-form ones.
     """
     prob = builder(fp, t_point)
     basis = sigma_basis(prob.streams, bounds, prob.sigma, fp, points=prob.points, tie_break=tie_break)
+    if first and not basis.solution_indices():
+        where = "" if t_point is None else f" at t={t_point}"
+        raise NoSolution(f"empty solution space mod {fp.p}{where}")
     norm = sigma_normalize(basis)
     flat: list[int] = []
     for k in norm.solution_indices():
@@ -149,7 +183,7 @@ def _inner_solve(builder, bounds, fp, opts, rng, outer_state):
             continue
         used.add(tau)
         try:
-            record, flat = _solve_image(builder, bounds, fp, tau, opts.tie_break)
+            record, flat = _solve_image(builder, bounds, fp, tau, opts.tie_break, state.record is None)
         except BadModulus:
             _emit(outer_state, opts, "skip_point", fp.p, tau)
             continue
@@ -247,19 +281,25 @@ def do_solve(builder: ProblemBuilder, bounds: list[int], domain: str = "rational
     if domain not in ("rational", "polyrational"):
         raise ValueError(f"unknown domain {domain!r}")
     opts = opts or LiftOptions()
-    rng = random.Random(opts.seed)
+    # q mode draws evaluation points from the same rng, so it samples afresh
+    shared = opts.primes is None and domain == "rational"
+    rng = None if shared else random.Random(opts.seed)
     state = LiftState(level="prime")
     forced = iter(opts.primes) if opts.primes is not None else iter(())
     used: set[int] = set()
     pending = None  # (columns, exact flat vector) awaiting a confirming prime
-    for _ in range(opts.max_primes):
-        p = next(forced, None)
-        if p is None:
-            p = sample_prime(opts.prime_bits, exclude=used, rng=rng)
-        if p in used:
-            continue
-        used.add(p)
-        fp = ModPrime(p)
+    for i in range(opts.max_primes):
+        if shared:
+            fp = _nth_field(opts.seed, opts.prime_bits, i)
+        else:
+            p = next(forced, None)
+            if p is None:
+                p = sample_prime(opts.prime_bits, exclude=used, rng=rng)
+            if p in used:
+                continue
+            used.add(p)
+            fp = ModPrime(p)
+        p = fp.p
         try:
             if domain == "polyrational":
                 inner = _inner_solve(builder, bounds, fp, opts, rng, state)
@@ -267,7 +307,7 @@ def do_solve(builder: ProblemBuilder, bounds: list[int], domain: str = "rational
                     raise ReconstructionAborted(f"too many bad evaluation points mod {p}")
                 record, shape, flat = inner
             else:
-                record, flat = _solve_image(builder, bounds, fp, None, opts.tie_break)
+                record, flat = _solve_image(builder, bounds, fp, None, opts.tie_break, state.record is None)
                 shape = ()
         except BadModulus:
             _emit(state, opts, "skip_prime", p)

@@ -86,3 +86,18 @@ def gen_prec_terms(order, deg, count, seed):
             acc += cval * terms[n + k]
         terms.append(-acc)
     return terms, coeffs
+
+
+def order_basis_instances(p, count=500, seed=500):
+    """Random small order-basis problems: (bounds, sigma, streams, points).
+
+    Half use sample points (sequence form), half series form.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(2, 3)
+        bounds = [rng.randint(1, 3) for _ in range(m)]
+        sigma = rng.randint(1, 9)
+        streams = [[rng.randrange(p) for _ in range(sigma)] for _ in range(m)]
+        points = None if rng.random() < 0.5 else rng.sample(range(p), sigma)
+        yield bounds, sigma, streams, points

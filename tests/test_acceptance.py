@@ -21,6 +21,7 @@ from oracles import (
     gen_prec_terms,
     matrix_rank,
     nullspace_dim,
+    order_basis_instances,
 )
 from seqguess.errors import BadModulus
 from seqguess.guess import (
@@ -184,14 +185,8 @@ def test_order_basis_oracle_equivalence():
     with criterion("order-basis-oracle"):
         P = 2147483647
         fp = ModPrime(P)
-        rng = random.Random(500)
-        for _ in range(500):
-            m = rng.randint(2, 3)
-            bounds = [rng.randint(1, 3) for _ in range(m)]
-            sigma = rng.randint(1, 9)
-            streams = [[rng.randrange(P) for _ in range(sigma)] for _ in range(m)]
-            points = None if rng.random() < 0.5 else rng.sample(range(P), sigma)
-
+        for bounds, sigma, streams, points in order_basis_instances(P):
+            m = len(bounds)
             res = sigma_basis(streams, bounds, sigma, fp, points=points)
 
             # every basis column annihilates all sigma conditions

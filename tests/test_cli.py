@@ -166,6 +166,21 @@ def test_main_internal_abort_is_exit_3(capsys, monkeypatch):
     assert "aborted" in capsys.readouterr().err
 
 
+def test_main_engine_value_error_is_exit_3(capsys, monkeypatch):
+    def boom(*a, **k):
+        raise ValueError("moduli 6 and 9 are not coprime")
+
+    monkeypatch.setattr("seqguess.cli.guess_class", boom)
+    assert main(["1", "2", "3"]) == 3
+    err = capsys.readouterr().err
+    assert "internal error" in err and "not coprime" in err
+
+
+def test_main_library_usage_error_is_exit_2(capsys):
+    assert main(["--mixed-degree", "-1", "1", "2", "3"]) == 2
+    assert "max_mixed_degree must be nonnegative" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # main(): JSON output
 

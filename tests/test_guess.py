@@ -7,12 +7,14 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import gen_prec_terms
+from seqguess.errors import UsageError
 from seqguess.guess import (
     Options,
     check_deterministic,
     check_monte_carlo,
     enumerate_degree_vectors,
     filter_interpolating,
+    guess,
     guess_ade,
     guess_alg,
     guess_class,
@@ -200,6 +202,26 @@ def test_coercion_and_validation():
         guess_rat([1, 2, 3, 4], safety=-1)
     with pytest.raises(ValueError):
         guess_rat([1, 2, 3, 4], check="sometimes")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: guess_rat([1]),
+    lambda: guess_rat([RatPoly.const(1), RatPoly.const(2)]),
+    lambda: guess_rat([1, 2, 3, 4], safety=-1),
+    lambda: guess_rat([1, 2, 3, 4], check="sometimes"),
+    lambda: guess_rat([1, 2, 3, 4], max_mixed_degree=-1),
+    lambda: guess_rec([1, 2, 3, 4], somos=2, homogeneous=True),
+    lambda: guess_rec([1, 2, 3, 4], homogeneous=-1),
+    lambda: guess_rec([1, 2, 3, 4], somos=True),
+    lambda: guess_rec([1, 2, 3, 4], somos=True, max_shift=2),
+    lambda: guess_class([1, 2, 3], "spam"),
+    lambda: guess([1, 2, 3], guessers=("spam",)),
+    lambda: guess([1, 2, 3], operators=("minimum",)),
+    lambda: guess([RatPoly.const(1), RatPoly.const(2), RatPoly.const(4)]),
+])
+def test_input_errors_are_usage_errors(call):
+    with pytest.raises(UsageError):
+        call()
 
 
 def test_filter_interpolating_recovers_pairwise_combination():

@@ -1,11 +1,14 @@
 """Prime/point lifting: CRT absorption, reconstruction schedule, and
 detection of structurally bad reductions."""
 
+import random
+import threading
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
+from seqguess import lift
 from seqguess.errors import BadModulus, NoSolution
 from seqguess.lift import (
     LiftOptions,
@@ -14,7 +17,7 @@ from seqguess.lift import (
     do_solve,
     reconstruction_due,
 )
-from seqguess.modarith import reduce_scalar
+from seqguess.modarith import reduce_scalar, sample_prime
 from seqguess.models import OrderProblem
 from seqguess.rings import RatPoly
 from seqguess.sigma_normalize import ReductionRecord
@@ -50,6 +53,15 @@ def test_exact_rational_coefficients():
 
 
 def test_no_solution():
+    with pytest.raises(NoSolution):
+        do_solve(_seq_builder([j * j for j in range(4)]), [2, 1], "rational", LiftOptions(seed=1))
+
+
+def test_no_solution_skips_normal_form(monkeypatch):
+    def refuse(basis):
+        raise AssertionError("an empty first image needs no normal form")
+
+    monkeypatch.setattr(lift, "sigma_normalize", refuse)
     with pytest.raises(NoSolution):
         do_solve(_seq_builder([j * j for j in range(4)]), [2, 1], "rational", LiftOptions(seed=1))
 
@@ -139,3 +151,48 @@ def test_reconstruction_schedule():
     st = LiftState(level="point")
     due = [c for c in range(0, 50) if not setattr(st, "good_count", c) and reconstruction_due(st)]
     assert due == [1, 4, 9, 16, 25, 36, 49]
+
+
+# ---------------------------------------------------------------------------
+# shared prime list
+
+
+def _fresh_primes(seed, count, bits=31):
+    rng = random.Random(seed)
+    used = set()
+    for _ in range(count):
+        used.add(p := sample_prime(bits, exclude=used, rng=rng))
+        yield p
+
+
+def test_prime_list_matches_fresh_sampling():
+    for seed in (0, 7):
+        assert [lift._nth_field(seed, 31, i).p for i in range(300)] == list(_fresh_primes(seed, 300))
+
+
+def test_forced_primes_bypass_prime_list(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("forced primes must not touch the shared list")
+
+    monkeypatch.setattr(lift, "_nth_field", refuse)
+    forced = [1000003, 1000033, 1000037]
+    res = do_solve(_seq_builder([j * j for j in range(4)]), [3, 1], "rational", LiftOptions(seed=3, primes=forced))
+    assert res.columns == [[[F(0), F(0), F(1)], [F(-1)]]]
+    assert [e[1] for e in res.state.events] == forced[:2]
+
+
+def test_prime_list_is_thread_safe():
+    seed, count = 424242, 150
+    start = threading.Barrier(2)
+    seen = [None, None]
+
+    def read(slot):
+        start.wait()
+        seen[slot] = [lift._nth_field(seed, 31, i).p for i in range(count)]
+
+    threads = [threading.Thread(target=read, args=(k,)) for k in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert seen[0] == seen[1] == list(_fresh_primes(seed, count))

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from oracles import apply_matrix, condition_matrix, flatten_solution
+from oracles import apply_matrix, condition_matrix, flatten_solution, nullspace_dim, order_basis_instances
 from seqguess.hermite_pade import SigmaBasisResult, sigma_basis
 from seqguess.modarith import ModPrime, PackedVec
 from seqguess.sigma_normalize import (
@@ -163,3 +163,16 @@ def test_tie_break_direction_does_not_change_normal_form():
         hi = sigma_normalize(sigma_basis(streams, bounds, sigma, FP, points=points, tie_break="high"))
         assert lo.columns == hi.columns
         assert (lo.defects, lo.crits) == (hi.defects, hi.crits)
+
+
+def test_raw_defects_equal_normal_form_defects():
+    # the order basis is already reduced, so its defects are the invariant
+    # ones; lift relies on this to decide NoSolution before normalizing
+    p = 2147483647
+    fp = ModPrime(p)
+    for bounds, sigma, streams, points in order_basis_instances(p):
+        raw = sigma_basis(streams, bounds, sigma, fp, points=points)
+        assert sorted(raw.defects, reverse=True) == sigma_normalize(raw).defects
+        if not raw.solution_indices():
+            mat = condition_matrix(streams, bounds, sigma, p, points)
+            assert nullspace_dim(mat, sum(bounds), p) == 0
