@@ -330,7 +330,13 @@ def _options_from_args(args) -> Options:
     names = tuple(s.strip() for s in args.names.split(","))
     if len(names) != 3 or not all(names):
         raise UsageError("--names needs three comma-separated names: function,index,variable")
-    seed = args.seed if args.seed is not None else int(os.environ.get("SEQGUESS_SEED", "0"))
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("SEQGUESS_SEED", "0")
+        try:
+            seed = int(env)
+        except ValueError:
+            raise UsageError(f"SEQGUESS_SEED must be an integer, got {env!r}") from None
     return Options(
         max_shift=args.max_shift,
         max_derivative=args.max_derivative,

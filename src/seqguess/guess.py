@@ -128,6 +128,10 @@ def _validate(opts: Options):
         raise UsageError(f"unknown check mode {opts.check!r}")
     if opts.max_mixed_degree < 0:
         raise UsageError("max_mixed_degree must be nonnegative")
+    for name in ("max_shift", "max_derivative", "max_power", "max_degree", "max_level"):
+        cap = getattr(opts, name)
+        if cap is not None and cap < 0:
+            raise UsageError(f"{name} must be nonnegative")
     if opts.somos is not False and opts.homogeneous is True:
         raise UsageError("somos needs an integer homogeneous degree, not homogeneous=true")
     if not isinstance(opts.homogeneous, bool) and opts.homogeneous < 0:

@@ -3,8 +3,9 @@
 Solves a Hermite-Pade problem with exact rational (or rational-function)
 data by solving modular images and reconstructing:
 
-  outer level   fresh 31-bit primes; per-prime solutions are combined by
-                Chinese remaindering and lifted back to Q by balanced
+  outer level   fresh 31-bit primes; per-prime solution vectors are
+                combined by Chinese remaindering into one accumulator
+                with a shared modulus and lifted back to Q by balanced
                 rational reconstruction;
   inner level   only when coefficients involve a parameter t: per prime,
                 random evaluation points for t; per-point solutions are
@@ -58,7 +59,6 @@ class LiftOptions:
     prime_bits: int = 31
     max_primes: int = 10_000
     inner_expected_degree: int = 32  # caps inner points at 4*(this+1)
-    crt_block_size: int = 100
     primes: list[int] | None = None  # consumed before random sampling (tests)
     tie_break: str = "low"
     debug: Callable[[str], None] | None = None
@@ -71,7 +71,9 @@ class LiftState:
     level: str = "prime"  # "prime" | "point"
     record: ReductionRecord | None = None
     shape: tuple = ()
-    accumulators: list | None = None
+    # prime level: one CrtAccumulator for the whole flat vector;
+    # point level: one LagrangeAccumulator per entry
+    acc: CrtAccumulator | list | None = None
     good_count: int = 0
     bad_count: int = 0
     events: list = field(default_factory=list)
@@ -199,12 +201,12 @@ def _inner_solve(builder, bounds, fp, opts, rng, outer_state):
         if verdict == "all_bad":
             _emit(outer_state, opts, "all_bad_points", fp.p, tau)
             state.record = None
-            state.accumulators = None
+            state.acc = None
             state.good_count = state.bad_count = 0
             pending = None
         if state.record is None:
             state.record = record
-            state.accumulators = [LagrangeAccumulator(fp) for _ in flat]
+            state.acc = [LagrangeAccumulator(fp) for _ in flat]
         if pending is not None:
             ok = _match_poly_candidate(pending, flat, tau, fp)
             if ok:
@@ -213,12 +215,12 @@ def _inner_solve(builder, bounds, fp, opts, rng, outer_state):
                 return state.record, shape, values
             if ok is False:
                 pending = None
-        for acc, v in zip(state.accumulators, flat):
+        for acc, v in zip(state.acc, flat):
             lagrange_add(acc, tau, v)
         state.good_count += 1
         if reconstruction_due(state):
             cand = []
-            for acc in state.accumulators:
+            for acc in state.acc:
                 nd = poly_rat_recon(acc)
                 if nd is None:
                     cand = None
@@ -323,13 +325,13 @@ def do_solve(builder: ProblemBuilder, bounds: list[int], domain: str = "rational
             _emit(state, opts, "all_bad", p)
             state.record = None
             state.shape = ()
-            state.accumulators = None
+            state.acc = None
             state.good_count = state.bad_count = 0
             pending = None
         if state.record is None:
             state.record = record
             state.shape = shape
-            state.accumulators = [CrtAccumulator(block_size=opts.crt_block_size) for _ in flat]
+            state.acc = CrtAccumulator([0] * len(flat))
         if pending is not None:
             try:
                 if _reduce_flat(pending[1], fp) == flat:
@@ -338,12 +340,10 @@ def do_solve(builder: ProblemBuilder, bounds: list[int], domain: str = "rational
                 pending = None
             except BadModulus:
                 pass  # this prime cannot see the candidate; keep both
-        for acc, v in zip(state.accumulators, flat):
-            crt_combine(acc, v, p)
+        crt_combine(state.acc, flat, p)
         state.good_count += 1
         if reconstruction_due(state):
-            snaps = [acc.snapshot() for acc in state.accumulators]
-            vec = rat_recon_vec([v for v, _ in snaps], snaps[0][1])
+            vec = rat_recon_vec(state.acc.values, state.acc.modulus)
             _emit(state, opts, "recon", p, state.good_count, vec is not None)
             if vec is not None:
                 pending = (_assemble(domain, state.record, bounds, state.shape, vec), vec)

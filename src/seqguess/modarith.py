@@ -2,8 +2,8 @@
 
 Everything the modular layers touch lives here: a prime field whose
 elements are plain Python ints in [0, p), packed coefficient vectors
-backed by int64 numpy arrays, and the reduction homomorphisms from exact
-rationals (and rational functions) into the field.
+backed by int64 numpy arrays, and the reduction homomorphism from exact
+rationals into the field.
 
 Primes are sampled with at most 31 bits so that a product of two
 residues plus an accumulator stays below 2**63 and the fused
@@ -114,9 +114,6 @@ class ModPrime:
     def from_int(self, n: int) -> int:
         return n % self.p
 
-    def reduce(self, x) -> int:
-        return reduce_scalar(x, self)
-
 
 @dataclass
 class PackedVec:
@@ -138,9 +135,6 @@ class PackedVec:
 
     def component(self, i: int) -> np.ndarray:
         return self.data[i * self.stride:(i + 1) * self.stride]
-
-    def copy(self) -> "PackedVec":
-        return PackedVec(self.data.copy(), self.components, self.stride)
 
     def _ensure_scratch(self) -> np.ndarray:
         if self.scratch is None or self.scratch.shape != self.data.shape:
@@ -176,31 +170,3 @@ def reduce_scalar(x, fp: ModPrime) -> int:
         raise BadModulus(f"{fp.p} divides denominator of {x}")
     return x.numerator % fp.p * pow(den, -1, fp.p) % fp.p
 
-
-def reduce_poly_scalar(num, den, fp: ModPrime) -> tuple[list[int], list[int]]:
-    """Coefficientwise image of num(t)/den(t) in Z_p[t] x Z_p[t].
-
-    No cancellation is attempted: (3t^2-3)/(t-1) mod 7 stays a ratio of
-    two polynomials.  The denominator image must not collapse to zero.
-
-    Raises:
-        BadModulus: p divides a coefficient denominator, or den vanishes
-            identically mod p.
-    """
-    rnum = [reduce_scalar(c, fp) for c in num]
-    rden = [reduce_scalar(c, fp) for c in den]
-    while rnum and rnum[-1] == 0:
-        rnum.pop()
-    while rden and rden[-1] == 0:
-        rden.pop()
-    if not rden:
-        raise BadModulus(f"denominator vanishes mod {fp.p}")
-    return rnum, rden
-
-
-def eval_poly_at(coeffs: list[int], point: int, fp: ModPrime) -> int:
-    """Horner evaluation of a Z_p[t] polynomial (ascending coefficients)."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * point + c) % fp.p
-    return acc

@@ -164,6 +164,8 @@ def schema_stream(klass: str, opts, q: bool = False):
         max_weight = part_cap * count_cap
     else:
         max_weight = None
+    if part_cap == 0 or count_cap == 0 or (not isinstance(homog, bool) and homog == 0):
+        max_weight = 0  # only the empty product passes; the unbounded stream would never end
 
     def admissible(parts: tuple[int, ...]) -> bool:
         if part_cap is not None and parts and parts[0] > part_cap:
@@ -235,10 +237,6 @@ def cauchy_plan(parts_list) -> CauchyPlan:
                 seen.add(prefix)
                 steps.append(prefix)
     return CauchyPlan(tuple(steps))
-
-
-def naive_product_count(parts_list) -> int:
-    return sum(max(0, len(parts) - 1) for parts in parts_list)
 
 
 # ---------------------------------------------------------------------------

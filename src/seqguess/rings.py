@@ -93,10 +93,6 @@ def psub(a: list, b: list, F) -> list:
     return ptrim(out, F)
 
 
-def pneg(a: list, F) -> list:
-    return [F.neg(x) for x in a]
-
-
 def pscale(a: list, s, F) -> list:
     if F.is_zero(s):
         return []
@@ -172,28 +168,6 @@ def pmonic(a: list, F) -> list:
     if not a:
         return []
     return pscale(a, F.inv(a[-1]), F)
-
-
-# ---------------------------------------------------------------------------
-# truncated power series
-
-
-@dataclass(frozen=True)
-class TruncSeries:
-    """Coefficients c_0..c_{order-1}; nothing beyond `order` is known."""
-
-    coeffs: tuple
-    order: int
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.order:
-            raise ValueError("series must carry exactly `order` coefficients")
-
-
-def cauchy_mul_trunc(a: TruncSeries, b: TruncSeries, order: int, F=QQ) -> TruncSeries:
-    if a.order < order or b.order < order:
-        raise ValueError("operands not defined to the requested order")
-    return TruncSeries(tuple(pmul_trunc(list(a.coeffs), list(b.coeffs), order, F)), order)
 
 
 # ---------------------------------------------------------------------------
@@ -335,51 +309,36 @@ QPARAM = RatPoly((Fraction(0), Fraction(1)), (Fraction(1),))  # the parameter it
 
 
 # ---------------------------------------------------------------------------
-# Chinese remaindering, block-batched
+# Chinese remaindering, one state for a whole vector
 
 
 @dataclass
 class CrtAccumulator:
-    """Combined image under pairwise coprime moduli, batched in blocks.
+    """Combined images of a vector under one product of coprime moduli.
 
-    Fresh (image, modulus) pairs buffer inside a block; once `block_size`
-    pairs accumulate they merge into the long-lived pair (value, modulus)
-    in one step, keeping the big-integer work per prime small.
+    Every entry shares `modulus`, so absorbing a prime costs one modular
+    inverse for the whole vector plus one Garner step per entry.  Values
+    stay in [0, modulus); start from zeros of the vector's length.
     """
 
-    value: int = 0
+    values: list
     modulus: int = 1
-    block: list = field(default_factory=list)
-    block_size: int = 100
-
-    def snapshot(self) -> tuple[int, int]:
-        """Current combined (value, modulus) including the open block."""
-        v, m = self.value, self.modulus
-        for bm, bv in self.block:
-            v, m = _crt_pair(v, m, bv, bm)
-        return v, m
 
 
-def _crt_pair(v1: int, m1: int, v2: int, m2: int) -> tuple[int, int]:
-    if math.gcd(m1, m2) != 1:
-        raise ValueError(f"moduli {m1} and {m2} are not coprime")
-    u = (v2 - v1) * pow(m1, -1, m2) % m2
-    return v1 + m1 * u, m1 * m2
-
-
-def crt_combine(acc: CrtAccumulator, image: int, modulus: int) -> CrtAccumulator:
-    """Absorb one congruence; merges a full block into the main pair."""
+def crt_combine(acc: CrtAccumulator, images: list, modulus: int) -> CrtAccumulator:
+    """Absorb one image vector modulo `modulus`, coprime to the moduli so far."""
     if modulus <= 1:
         raise ValueError("modulus must exceed 1")
-    if math.gcd(modulus, acc.modulus) != 1 or any(math.gcd(modulus, m) != 1 for m, _ in acc.block):
+    if len(images) != len(acc.values):
+        raise ValueError(f"image vector has {len(images)} entries, accumulator {len(acc.values)}")
+    r = acc.modulus % modulus
+    if math.gcd(r, modulus) != 1:
         raise ValueError(f"modulus {modulus} not coprime to absorbed moduli")
-    acc.block.append((modulus, image % modulus))
-    if len(acc.block) >= acc.block_size:
-        bv, bm = 0, 1
-        for m, v in acc.block:
-            bv, bm = _crt_pair(bv, bm, v, m)
-        acc.value, acc.modulus = _crt_pair(acc.value, acc.modulus, bv, bm)
-        acc.block.clear()
+    inv = pow(r, -1, modulus)
+    m, values = acc.modulus, acc.values
+    for i, v in enumerate(images):
+        values[i] += m * ((v - values[i] % modulus) * inv % modulus)
+    acc.modulus = m * modulus
     return acc
 
 
@@ -487,7 +446,7 @@ def rat_recon_vec(images: list, modulus: int, stats: dict | None = None) -> list
     return out
 
 
-def poly_rat_recon(acc: LagrangeAccumulator, points_used: int | None = None) -> tuple[list, list] | None:
+def poly_rat_recon(acc: LagrangeAccumulator) -> tuple[list, list] | None:
     """Cauchy interpolation: num/den through all added points.
 
     Balanced degree split: deg num ≤ K//2, deg den ≤ K-1-K//2 where K is
@@ -497,8 +456,6 @@ def poly_rat_recon(acc: LagrangeAccumulator, points_used: int | None = None) -> 
     """
     fp = acc.fp
     K = acc.count()
-    if points_used is not None and points_used != K:
-        raise ValueError("points_used disagrees with the accumulator")
     if K < 1:
         raise ValueError("no points added yet")
     M = acc.to_dense()

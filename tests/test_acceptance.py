@@ -248,17 +248,16 @@ def test_reconstruction_roundtrips():
 
         for _ in range(10_000):
             x = F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
-            acc = CrtAccumulator()
+            acc = CrtAccumulator([0])
             used = 0
             for p in pool:
                 if x.denominator % p == 0:
                     continue  # bad modulus, skip as the driver would
-                acc = crt_combine(acc, reduce_scalar(x, ModPrime(p)), p)
+                acc = crt_combine(acc, [reduce_scalar(x, ModPrime(p))], p)
                 used += 1
                 if used == 2:
                     break
-            value, modulus = acc.snapshot()
-            assert rat_recon(value, modulus) == x
+            assert rat_recon(acc.values[0], acc.modulus) == x
 
         p1, p2 = pool[0], pool[1]
         for _ in range(1_000):
@@ -289,13 +288,11 @@ def test_reconstruction_roundtrips():
 
             (n1, d1), (n2, d2) = images
             assert len(n1) == len(n2) and len(d1) == len(d2)
-            got_num, got_den = [], []
-            for c1, c2 in zip(n1, n2):
-                acc = crt_combine(crt_combine(CrtAccumulator(), c1, p1), c2, p2)
-                got_num.append(rat_recon(*acc.snapshot()))
-            for c1, c2 in zip(d1, d2):
-                acc = crt_combine(crt_combine(CrtAccumulator(), c1, p1), c2, p2)
-                got_den.append(rat_recon(*acc.snapshot()))
+            acc = CrtAccumulator([0] * (len(n1) + len(d1)))
+            crt_combine(acc, n1 + d1, p1)
+            crt_combine(acc, n2 + d2, p2)
+            got = [rat_recon(v, acc.modulus) for v in acc.values]
+            got_num, got_den = got[:len(n1)], got[len(n1):]
             assert got_num == num and got_den == den
 
 

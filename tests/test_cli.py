@@ -2,7 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,8 @@ from seqguess.cli import (
 from seqguess.errors import ParseError
 from seqguess.render import OPERATOR_SCHEMA, RESULT_SCHEMA, result_from_json
 from seqguess.rings import RatPoly
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +185,26 @@ def test_main_engine_value_error_is_exit_3(capsys, monkeypatch):
 def test_main_library_usage_error_is_exit_2(capsys):
     assert main(["--mixed-degree", "-1", "1", "2", "3"]) == 2
     assert "max_mixed_degree must be nonnegative" in capsys.readouterr().err
+
+
+def test_main_negative_cap_exits_2_promptly():
+    # a negative cap used to leave the schema stream waiting forever;
+    # one subprocess, bounded by a timeout, so a regression fails fast
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "seqguess.cli", "--class", "rec", "--max-shift", "-1",
+         "1", "2", "3", "5", "8", "13", "21", "34"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 2
+    assert "max_shift must be nonnegative" in proc.stderr
+
+
+def test_main_invalid_seed_environment_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("SEQGUESS_SEED", "abc")
+    assert main(["0", "1", "4", "9"]) == 2
+    err = capsys.readouterr().err
+    assert "SEQGUESS_SEED" in err and "'abc'" in err
 
 
 # ---------------------------------------------------------------------------

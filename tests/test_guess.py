@@ -2,6 +2,7 @@
 
 import math
 import random
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -222,6 +223,49 @@ def test_coercion_and_validation():
 def test_input_errors_are_usage_errors(call):
     with pytest.raises(UsageError):
         call()
+
+
+def _within(call, seconds=30):
+    """Run call in a daemon thread; fail instead of hanging when it never returns."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = call()
+        except Exception as e:  # noqa: BLE001 - handed back to the test
+            out["error"] = e
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(seconds)
+    assert not t.is_alive(), "call did not return"
+    return out
+
+
+FIB = [1, 2, 3, 5, 8, 13, 21, 34]
+
+
+@pytest.mark.parametrize("cap, klass", [
+    ("max_shift", "rec"), ("max_power", "rec"), ("max_level", "fe"),
+    ("max_derivative", "holo"), ("max_degree", "rat"), ("max_level", None),
+])
+def test_negative_caps_are_usage_errors(cap, klass):
+    for value in (-1, -2):
+        if klass is None:  # the operator search's own depth cap
+            out = _within(lambda: guess(FIB, **{cap: value}))
+        else:
+            out = _within(lambda: guess_class(FIB, klass, **{cap: value}))
+        assert isinstance(out.get("error"), UsageError), out
+        assert cap in str(out["error"])
+
+
+@pytest.mark.parametrize("klass, kw", [
+    ("rec", {"max_power": 0}), ("fe", {"max_level": 0}), ("fe", {"max_power": 0}),
+    ("rec", {"homogeneous": 0}),
+])
+def test_zero_caps_leave_only_the_constant_and_return(klass, kw):
+    # only the empty product passes such a filter, so no schema has two monomials
+    assert _within(lambda: guess_class(FIB, klass, **kw)) == {"value": []}
 
 
 def test_filter_interpolating_recovers_pairwise_combination():

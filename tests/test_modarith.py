@@ -11,10 +11,8 @@ from seqguess.modarith import (
     MAX_PRIME_BITS,
     ModPrime,
     PackedVec,
-    eval_poly_at,
     is_probable_prime,
     mul_add_in_place,
-    reduce_poly_scalar,
     reduce_scalar,
     sample_prime,
 )
@@ -103,34 +101,11 @@ def test_reduce_scalar():
         reduce_scalar(Fraction(3, 14), fp)
 
 
-def test_reduce_poly_scalar():
-    fp = ModPrime(7)
-    num = [Fraction(3), Fraction(0), Fraction(-3)]
-    den = [Fraction(-1), Fraction(1)]
-    assert reduce_poly_scalar(num, den, fp) == ([3, 0, 4], [6, 1])
-    # trailing zeros mod p are trimmed
-    assert reduce_poly_scalar([Fraction(1), Fraction(7)], [Fraction(1)], fp) == ([1], [1])
-    with pytest.raises(BadModulus):
-        reduce_poly_scalar([Fraction(1)], [Fraction(7), Fraction(14)], fp)  # den vanishes
-    with pytest.raises(BadModulus):
-        reduce_poly_scalar([Fraction(1, 7)], [Fraction(1)], fp)
-
-
-def test_eval_poly_at():
-    fp = ModPrime(7)
-    assert eval_poly_at([1, 2, 3], 2, fp) == 3  # 17 mod 7
-    assert eval_poly_at([], 5, fp) == 0
-    assert eval_poly_at([4], 6, fp) == 4
-
-
 def test_packed_vec_layout():
     v = PackedVec.zeros(3, 5)
     assert v.components == 3 and v.stride == 5
     v.component(1)[2] = 9
     assert v.data[1 * 5 + 2] == 9
-    w = v.copy()
-    w.component(1)[2] = 1
-    assert v.component(1)[2] == 9  # deep copy
 
 
 def test_mul_add_in_place_frozen():

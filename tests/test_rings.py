@@ -6,8 +6,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqguess.modarith import ModPrime
+from seqguess.modarith import ModPrime, reduce_scalar, sample_prime
 from seqguess.rings import (
     QQ,
     QQ_T,
@@ -15,8 +17,6 @@ from seqguess.rings import (
     CrtAccumulator,
     LagrangeAccumulator,
     RatPoly,
-    TruncSeries,
-    cauchy_mul_trunc,
     crt_combine,
     lagrange_add,
     padd,
@@ -27,7 +27,6 @@ from seqguess.rings import (
     pmonic,
     pmul,
     pmul_trunc,
-    pneg,
     poly_rat_recon,
     pscale,
     pshift,
@@ -45,7 +44,6 @@ from seqguess.rings import (
 def test_poly_basic_ops():
     assert padd([1, 2], [3, 4, 5], QQ) == [4, 6, 5]
     assert psub([1, 2], [1, 2], QQ) == []
-    assert pneg([1, -2], QQ) == [-1, 2]
     assert pscale([1, 2], 0, QQ) == []
     assert pshift([1, 2], 2, QQ) == [0, 0, 1, 2]
     assert pmul([1, 1], [1, -1], QQ) == [1, 0, -1]
@@ -81,14 +79,6 @@ def test_pgcd_monic():
     assert pgcd(a, b, QQ) == [-1, 1]
     assert pgcd([], [0, 3], QQ) == [0, 1]
     assert pmonic([2, 4], QQ) == [F(1, 2), 1]
-
-
-def test_trunc_series():
-    fib = TruncSeries((1, 1, 2, 3, 5), 5)
-    den = TruncSeries((1, -1, -1, 0, 0), 5)
-    assert cauchy_mul_trunc(fib, den, 5, QQ).coeffs == (1, 0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        cauchy_mul_trunc(fib, TruncSeries((1,), 1), 5, QQ)
 
 
 # ---------------------------------------------------------------------------
@@ -141,53 +131,73 @@ def test_ratpoly_misc():
 # Chinese remaindering
 
 
+def _garner(images, moduli):
+    """Scalar reference: fold one congruence at a time into (value, modulus)."""
+    v, m = 0, 1
+    for x, p in zip(images, moduli):
+        v += m * ((x - v) * pow(m, -1, p) % p)
+        m *= p
+    return v, m
+
+
 def test_crt_frozen_pair():
-    acc = CrtAccumulator(block_size=1)
-    crt_combine(acc, 1, 2)
-    crt_combine(acc, 2, 3)
-    assert acc.snapshot() == (5, 6)
+    acc = CrtAccumulator([0, 0, 0])
+    crt_combine(acc, [1, 0, 5], 2)
+    crt_combine(acc, [2, 1, -1], 3)
+    assert (acc.values, acc.modulus) == ([5, 4, 5], 6)
 
 
-def test_crt_snapshot_includes_open_block():
-    acc = CrtAccumulator(block_size=100)
-    crt_combine(acc, 1, 2)
-    crt_combine(acc, 2, 3)
-    assert acc.block and acc.modulus == 1
-    assert acc.snapshot() == (5, 6)
-
-
-def test_crt_block_flush():
-    acc = CrtAccumulator(block_size=2)
-    crt_combine(acc, 1, 2)
-    crt_combine(acc, 2, 3)
-    assert not acc.block  # merged
-    assert (acc.value, acc.modulus) == (5, 6)
+def test_crt_matches_scalar_garner():
+    rng = random.Random(123)
+    primes = [1000003, 1000033, 1000037, 1000039, 2**31 - 1]
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        images = [[rng.randrange(-2 * p, 2 * p) for _ in range(n)] for p in primes]
+        acc = CrtAccumulator([0] * n)
+        for k, (img, p) in enumerate(zip(images, primes), 1):
+            crt_combine(acc, img, p)  # the state is complete after every prime
+            assert acc.modulus == math.prod(primes[:k])
+            assert acc.values == [_garner([im[i] for im in images[:k]], primes[:k])[0] for i in range(n)]
+            assert all(0 <= v < acc.modulus for v in acc.values)
 
 
 def test_crt_rejects_repeated_modulus():
-    acc = CrtAccumulator(block_size=100)
-    crt_combine(acc, 1, 6)
+    acc = CrtAccumulator([0, 0])
+    crt_combine(acc, [1, 2], 7)
+    crt_combine(acc, [3, 4], 11)
+    state = (list(acc.values), acc.modulus)
+    for bad in (7, 11, 77, 14, 1, 0, -5):  # a repeated prime, a shared factor, or not above 1
+        with pytest.raises(ValueError):
+            crt_combine(acc, [0, 0], bad)
     with pytest.raises(ValueError):
-        crt_combine(acc, 0, 10)  # gcd 2 with the open block
-    acc2 = CrtAccumulator(block_size=1)
-    crt_combine(acc2, 1, 6)
-    with pytest.raises(ValueError):
-        crt_combine(acc2, 0, 10)  # gcd 2 with the merged modulus
-    with pytest.raises(ValueError):
-        crt_combine(acc2, 0, 1)
+        crt_combine(CrtAccumulator([0]), [0], 1)
+    assert (acc.values, acc.modulus) == state  # rejections leave the state alone
 
 
-def test_crt_roundtrip_random():
-    rng = random.Random(123)
-    primes = [1000003, 1000033, 1000037, 1000039]
-    for _ in range(30):
-        v = rng.randrange(10**18)
-        acc = CrtAccumulator(block_size=3)
-        for p in primes:
-            crt_combine(acc, v % p, p)
-        val, mod = acc.snapshot()
-        assert mod == math.prod(primes)
-        assert val == v % mod
+def test_crt_rejects_length_mismatch():
+    acc = CrtAccumulator([0, 0])
+    crt_combine(acc, [1, 2], 7)
+    for images in ([1], [1, 2, 3], []):
+        with pytest.raises(ValueError):
+            crt_combine(acc, images, 11)
+    assert (acc.values, acc.modulus) == ([1, 2], 7)
+
+
+_PRIMES31 = st.integers(0, 2**32).map(lambda s: sample_prime(31, rng=random.Random(s)))
+# numerators below 2**40 and denominators below every 31-bit prime: three
+# primes give a modulus above 2**90, past the 2 * (2**40)**2 reconstruction needs
+_RATIONALS = st.builds(F, st.integers(-2**40, 2**40), st.integers(1, 2**30 - 1))
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.lists(_RATIONALS, min_size=1, max_size=8), st.lists(_PRIMES31, min_size=3, max_size=6, unique=True))
+def test_crt_roundtrip_random(vec, primes):
+    acc = CrtAccumulator([0] * len(vec))
+    for p in primes:
+        fp = ModPrime(p)
+        crt_combine(acc, [reduce_scalar(x, fp) for x in vec], p)
+    assert acc.modulus == math.prod(primes)
+    assert rat_recon_vec(acc.values, acc.modulus) == vec
 
 
 # ---------------------------------------------------------------------------

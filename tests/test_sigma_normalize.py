@@ -106,7 +106,8 @@ def test_normalize_invariant_under_scaling_and_permutation():
         rng.shuffle(order)
         cols = []
         for k in order:
-            c = basis.columns[k].copy()
+            col = basis.columns[k]
+            c = PackedVec(col.data.copy(), col.components, col.stride)
             c.data[:] = c.data * rng.randint(1, P - 1) % P
             cols.append(c)
         mangled = SigmaBasisResult(
