@@ -12,11 +12,18 @@ order conditions against the streams:
 The iteration keeps one column per row index, eliminates the order
 condition j from all columns at step j using the column with the
 largest defect as pivot, and multiplies the pivot by (x - x_j)
-(respectively by x).  Defects are recomputed from actual component
-degrees after every update, so reported values never rely on the
+(respectively by x).  Defects are recomputed from the actual nonzero
+coefficients after every update, so reported values never rely on the
 no-cancellation argument being airtight mod p.
 
-Columns live in packed numpy buffers; all inner loops are vectorized.
+All columns share one int64 array M of shape (m, sigma + m * cap).  Row
+k holds column k's sigma residuals (the order conditions applied to the
+column), then its coefficients degree-major: slot sigma + d*m + l is the
+x^d coefficient of component l.  Step j only touches M[:, j:sigma + w*m]
+with w = (max degree) + 2: earlier residuals are already zero, and so
+are the coefficients past the maximum degree.  Every entry is a residue
+below p < 2**31, so a product of two residues is below 2**62; the sum is
+reduced after every single multiply-add and never overflows int64.
 """
 
 from __future__ import annotations
@@ -26,14 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadModulus
-from .modarith import ModPrime, PackedVec, mul_add_in_place
+from .modarith import ModPrime
 
 
 @dataclass
 class SigmaBasisResult:
     """Full order basis: every column, not only the small-defect ones."""
 
-    columns: list[PackedVec]
+    coeffs: np.ndarray  # coeffs[col, comp, d] = x^d coefficient
     degrees: np.ndarray  # degrees[col][comp], -1 for the zero polynomial
     defects: list[int]  # min over nonzero comps of bounds[comp] - degree
     bounds: list[int]
@@ -41,44 +48,14 @@ class SigmaBasisResult:
 
     @property
     def m(self) -> int:
-        return len(self.columns)
+        return len(self.coeffs)
 
     def poly(self, col: int, comp: int) -> list[int]:
         """Dense coefficient list of one component, trailing zeros trimmed."""
-        d = int(self.degrees[col][comp])
-        if d < 0:
-            return []
-        return [int(v) for v in self.columns[col].component(comp)[: d + 1]]
+        return self.coeffs[col, comp, : self.degrees[col][comp] + 1].tolist()
 
     def solution_indices(self) -> list[int]:
         return [k for k, d in enumerate(self.defects) if d >= 1]
-
-
-def _column_defect(degs_row, bounds) -> int:
-    vals = [b - int(d) for b, d in zip(bounds, degs_row) if d >= 0]
-    if not vals:
-        raise ValueError("zero column in order basis")
-    return min(vals)
-
-
-def _recompute_degrees(col: PackedVec, out_row) -> None:
-    arr = col.data.reshape(col.components, col.stride)
-    nz = arr != 0
-    has = nz.any(axis=1)
-    rev_arg = nz[:, ::-1].argmax(axis=1)
-    out_row[:] = np.where(has, col.stride - 1 - rev_arg, -1)
-
-
-def _pivot_multiply(col: PackedVec, x_j: int, fp: ModPrime) -> None:
-    """col <- (x - x_j) * col on every component at once.
-
-    Safe as one whole-buffer shift: component tops are zero because the
-    capacity exceeds any reachable degree by at least one slot.
-    """
-    s = col._ensure_scratch()
-    np.multiply(col.data, (fp.p - x_j) % fp.p, out=s)
-    s[1:] += col.data[:-1]
-    np.remainder(s, fp.p, out=col.data)
 
 
 def sigma_basis(
@@ -103,51 +80,72 @@ def sigma_basis(
         raise ValueError("each stream must provide exactly sigma residues")
     if tie_break not in ("low", "high"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
+    p = fp.p
+    cap = sigma + 1  # a degree grows by at most one per step
+    # column-major, so that every window M[:, a:b] is one contiguous block
+    M = np.zeros((m, sigma + m * cap), dtype=np.int64, order="F")
+    M[:, :sigma] = streams
+    M[:, :sigma] %= p
+    for k in range(m):
+        M[k, sigma + k] = 1
     if points is not None:
         if len(points) != sigma:
             raise ValueError("need exactly sigma sample points")
-        pts = np.array([x % fp.p for x in points], dtype=np.int64)
-        if len(set(pts.tolist())) != sigma:
-            raise BadModulus(f"sample points collide mod {fp.p}")
-    else:
-        pts = None
+        pts = [x % p for x in points]
+        if len(set(pts)) != sigma:
+            raise BadModulus(f"sample points collide mod {p}")
+        ext = np.zeros(M.shape[1], dtype=np.int64)  # points, then 0 under every coefficient
+        ext[:sigma] = pts
 
-    cap = (max(bounds) if bounds else 0) + sigma + 1
-    cols = [PackedVec.zeros(m, cap) for _ in range(m)]
-    degs = np.full((m, m), -1, dtype=np.int64)
-    for l in range(m):
-        cols[l].component(l)[0] = 1
-        degs[l][l] = 0
-
-    resid = [np.array([int(v) % fp.p for v in s], dtype=np.int64) for s in streams]
+    # score of the x^d coefficient of component l: d + 1 - bounds[l] + top > 0,
+    # so the largest score over a column's nonzero slots is top + 1 - defect
+    top = max(bounds, default=0)
+    score = (np.arange(top + 1, top + cap + 1)[:, None] - np.array(bounds, dtype=np.int64)).ravel()
+    defects = list(bounds)
+    maxdeg = [0] * m  # per column, an upper bound on its degree
+    hi = 0  # max(maxdeg)
 
     for j in range(sigma):
-        live = [k for k in range(m) if resid[k][j] != 0]
+        rj = M[:, j].tolist()
+        live = [k for k in range(m) if rj[k]]
         if not live:
             continue
-        defects = [_column_defect(degs[k], bounds) for k in range(m)]
         best = max(defects[k] for k in live)
         candidates = [k for k in live if defects[k] == best]
         piv = candidates[0] if tie_break == "low" else candidates[-1]
-        r_inv = fp.inv(int(resid[piv][j]))
-        for k in live:
-            if k == piv:
-                continue
-            c = fp.p - (int(resid[k][j]) * r_inv) % fp.p
-            c %= fp.p
-            mul_add_in_place(cols[k], cols[piv], c, fp)
-            resid[k] = (resid[k] + c * resid[piv]) % fp.p
-            _recompute_degrees(cols[k], degs[k])
-        if pts is not None:
-            x_j = int(pts[j])
-            _pivot_multiply(cols[piv], x_j, fp)
-            resid[piv] = resid[piv] * (pts - x_j) % fp.p
+        end = sigma + (hi + 2) * m
+        V = M[:, j:end]
+        if len(live) > 1:
+            r_inv = pow(rj[piv], -1, p)
+            c = [0] * m
+            for k in live:
+                if k != piv:
+                    c[k] = -rj[k] * r_inv % p
+                    maxdeg[k] = max(maxdeg[k], maxdeg[piv])
+            V += np.multiply.outer(V[piv], c).T  # laid out like V
+            V %= p
+        # pivot <- (x - x_j) * pivot, residuals and coefficients alike
+        R, cut = V[piv], sigma - j
+        if points is not None:
+            t = R * (ext[j:end] - pts[j])  # factors in (-p, p): |t| < 2**62
+            t[cut + m:] += R[cut:-m]
+            np.remainder(t, p, out=R)
         else:
-            _pivot_multiply(cols[piv], 0, fp)
-            shifted = np.zeros_like(resid[piv])
-            shifted[1:] = resid[piv][:-1]
-            resid[piv] = shifted
-        degs[piv][degs[piv] >= 0] += 1
+            R[1:cut] = R[:cut - 1]
+            R[0] = 0
+            R[cut + m:] = R[cut:-m]
+            R[cut:cut + m] = 0
+        maxdeg[piv] += 1
+        hi = max(hi, maxdeg[piv])
+        if len(live) > 1:
+            nz = M[:, sigma:end] != 0
+            defects = [top + 1 - s for s in (nz * score[:end - sigma]).max(axis=1).tolist()]
+        else:
+            defects[piv] -= 1  # every nonzero component gained one degree
 
-    defects = [_column_defect(degs[k], bounds) for k in range(m)]
-    return SigmaBasisResult(columns=cols, degrees=degs, defects=defects, bounds=list(bounds), fp=fp)
+    if max(defects, default=0) > top:  # a zero column scores 0: defect top + 1
+        raise ValueError("zero column in order basis")
+    block = M.T[sigma:sigma + (hi + 1) * m].reshape(hi + 1, m, m)  # [d, l, k], a view of M
+    lengths = ((block != 0) * np.arange(1, hi + 2)[:, None, None]).max(axis=0).T
+    coeffs = block[: lengths.max()].transpose(2, 1, 0)
+    return SigmaBasisResult(coeffs=coeffs, degrees=lengths - 1, defects=defects, bounds=list(bounds), fp=fp)

@@ -53,14 +53,15 @@ from .sigma_normalize import ReductionRecord, compare_reductions, sigma_normaliz
 ProblemBuilder = Callable[[ModPrime, int | None], OrderProblem]
 
 
+PRIME_BITS = 31
+INNER_EXPECTED_DEGREE = 32  # caps inner points at 4*(this+1)
+
+
 @dataclass
 class LiftOptions:
     seed: int = 0
-    prime_bits: int = 31
     max_primes: int = 10_000
-    inner_expected_degree: int = 32  # caps inner points at 4*(this+1)
     primes: list[int] | None = None  # consumed before random sampling (tests)
-    tie_break: str = "low"
     debug: Callable[[str], None] | None = None
 
 
@@ -141,8 +142,7 @@ def _emit(state: LiftState, opts: LiftOptions, *event):
         opts.debug(" ".join(str(x) for x in event))
 
 
-def _solve_image(builder: ProblemBuilder, bounds: list[int], fp: ModPrime, t_point, tie_break: str,
-                 first: bool):
+def _solve_image(builder: ProblemBuilder, bounds: list[int], fp: ModPrime, t_point, first: bool):
     """One base solve: normalized basis -> (record, flat padded residues).
 
     Solution-column components are padded to their degree bounds so the
@@ -152,7 +152,7 @@ def _solve_image(builder: ProblemBuilder, bounds: list[int], fp: ModPrime, t_poi
     normalizing, since the raw defects equal the normal-form ones.
     """
     prob = builder(fp, t_point)
-    basis = sigma_basis(prob.streams, bounds, prob.sigma, fp, points=prob.points, tie_break=tie_break)
+    basis = sigma_basis(prob.streams, bounds, prob.sigma, fp, points=prob.points)
     if first and not basis.solution_indices():
         where = "" if t_point is None else f" at t={t_point}"
         raise NoSolution(f"empty solution space mod {fp.p}{where}")
@@ -178,14 +178,14 @@ def _inner_solve(builder, bounds, fp, opts, rng, outer_state):
     state = LiftState(level="point")
     used: set[int] = set()
     pending = None  # list of (num, den) per slot
-    max_draws = 4 * (opts.inner_expected_degree + 1)
+    max_draws = 4 * (INNER_EXPECTED_DEGREE + 1)
     for _ in range(max_draws):
         tau = rng.randrange(1, fp.p)
         if tau in used:
             continue
         used.add(tau)
         try:
-            record, flat = _solve_image(builder, bounds, fp, tau, opts.tie_break, state.record is None)
+            record, flat = _solve_image(builder, bounds, fp, tau, state.record is None)
         except BadModulus:
             _emit(outer_state, opts, "skip_point", fp.p, tau)
             continue
@@ -292,11 +292,11 @@ def do_solve(builder: ProblemBuilder, bounds: list[int], domain: str = "rational
     pending = None  # (columns, exact flat vector) awaiting a confirming prime
     for i in range(opts.max_primes):
         if shared:
-            fp = _nth_field(opts.seed, opts.prime_bits, i)
+            fp = _nth_field(opts.seed, PRIME_BITS, i)
         else:
             p = next(forced, None)
             if p is None:
-                p = sample_prime(opts.prime_bits, exclude=used, rng=rng)
+                p = sample_prime(PRIME_BITS, exclude=used, rng=rng)
             if p in used:
                 continue
             used.add(p)
@@ -309,7 +309,7 @@ def do_solve(builder: ProblemBuilder, bounds: list[int], domain: str = "rational
                     raise ReconstructionAborted(f"too many bad evaluation points mod {p}")
                 record, shape, flat = inner
             else:
-                record, flat = _solve_image(builder, bounds, fp, None, opts.tie_break, state.record is None)
+                record, flat = _solve_image(builder, bounds, fp, None, state.record is None)
                 shape = ()
         except BadModulus:
             _emit(state, opts, "skip_prime", p)

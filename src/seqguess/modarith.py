@@ -1,19 +1,18 @@
 """Machine-word prime-field arithmetic.
 
 Everything the modular layers touch lives here: a prime field whose
-elements are plain Python ints in [0, p), packed coefficient vectors
-backed by int64 numpy arrays, and the reduction homomorphism from exact
-rationals into the field.
+elements are plain Python ints in [0, p), and the reduction
+homomorphism from exact rationals into the field.
 
 Primes are sampled with at most 31 bits so that a product of two
-residues plus an accumulator stays below 2**63 and the fused
-multiply-add on packed vectors never overflows int64.
+residues stays below 2**62 and vectorized int64 arithmetic on residues
+never overflows.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -113,47 +112,6 @@ class ModPrime:
 
     def from_int(self, n: int) -> int:
         return n % self.p
-
-
-@dataclass
-class PackedVec:
-    """Contiguous int64 coefficient storage for one basis column.
-
-    `data` holds `components` stacked coefficient rows of `stride`
-    entries each, so the same fused multiply-add touches every component
-    polynomial of the column in one pass.
-    """
-
-    data: np.ndarray
-    components: int
-    stride: int
-    scratch: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-
-    @classmethod
-    def zeros(cls, components: int, stride: int) -> "PackedVec":
-        return cls(np.zeros(components * stride, dtype=np.int64), components, stride)
-
-    def component(self, i: int) -> np.ndarray:
-        return self.data[i * self.stride:(i + 1) * self.stride]
-
-    def _ensure_scratch(self) -> np.ndarray:
-        if self.scratch is None or self.scratch.shape != self.data.shape:
-            self.scratch = np.empty_like(self.data)
-        return self.scratch
-
-
-def mul_add_in_place(v1: PackedVec, v2: PackedVec, c: int, fp: ModPrime) -> None:
-    """v1 <- v1 + c*v2 (mod p), elementwise, without reallocating v1.
-
-    Entries are < p < 2**31 and c < 2**31, so c*v2 + v1 < 2**63 and the
-    int64 accumulation is exact before the single deferred reduction.
-    """
-    if v1.data.shape != v2.data.shape:
-        raise ValueError("packed vectors differ in shape")
-    scratch = v1._ensure_scratch()
-    np.multiply(v2.data, c, out=scratch)
-    np.add(v1.data, scratch, out=v1.data)
-    np.remainder(v1.data, fp.p, out=v1.data)
 
 
 def reduce_scalar(x, fp: ModPrime) -> int:

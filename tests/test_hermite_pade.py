@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from oracles import (
@@ -97,7 +98,7 @@ def test_deterministic_and_tie_break_variants():
     streams, bounds, sigma, points = _random_instance(rng, False)
     a = sigma_basis(streams, bounds, sigma, FP, points=points)
     b = sigma_basis(streams, bounds, sigma, FP, points=points)
-    assert [list(c.data) for c in a.columns] == [list(c.data) for c in b.columns]
+    assert np.array_equal(a.coeffs, b.coeffs)
     hi = sigma_basis(streams, bounds, sigma, FP, points=points, tie_break="high")
     mat = condition_matrix(streams, bounds, sigma, P, points)
     assert sum(max(d, 0) for d in hi.defects) == nullspace_dim(mat, sum(bounds), P)
@@ -122,3 +123,80 @@ def test_validation_errors():
         sigma_basis([[1, 2], [3, 4]], [1, 1], 2, FP, points=[0, 1], tie_break="mid")
     with pytest.raises(BadModulus):
         sigma_basis([[1, 2], [3, 4]], [1, 1], 2, FP, points=[1, P + 1])
+
+
+# ---------------------------------------------------------------------------
+# wide bases: m up to 10 and sigma up to 80, where most of a column's
+# capacity lies above its degree and only the live window is touched
+
+
+def _assert_matches_oracle(res, streams, bounds, sigma, points, p):
+    """Every column solves all conditions, degrees and defects are exact,
+    and the defect sum equals the dense nullspace dimension."""
+    for k in range(res.m):
+        polys = [res.poly(k, comp) for comp in range(len(bounds))]
+        assert any(polys), "zero column"
+        for comp, c in enumerate(polys):
+            assert int(res.degrees[k][comp]) == len(c) - 1
+            assert not c or c[-1] != 0
+        wide = [len(c) for c in polys]
+        mat = condition_matrix(streams, wide, sigma, p, points)
+        assert apply_matrix(mat, flatten_solution(polys, wide), p) == [0] * sigma
+        assert res.defects[k] == min(b - len(c) + 1 for b, c in zip(bounds, polys) if c)
+    mat = condition_matrix(streams, bounds, sigma, p, points)
+    dim = nullspace_dim(mat, sum(bounds), p)
+    assert sum(max(d, 0) for d in res.defects) == dim
+    vecs = _solution_vectors(res)
+    for v in vecs:
+        assert apply_matrix(mat, v, p) == [0] * sigma
+    assert matrix_rank(vecs, p) == dim == len(vecs)
+
+
+def _wide_instance(rng, p, series, planted, widest=False):
+    """Random streams; `planted` makes the last stream cancel a random
+    in-bound vector whose last component is the constant 1.  `widest`
+    asks for m = 10 and sigma = 80."""
+    m = 10 if widest else rng.randint(4, 9)
+    bounds = [rng.randint(7 if widest else 1, 10) for _ in range(m)]
+    total = sum(bounds)
+    sigma = 80 if widest else rng.randint(max(1, total - 8), min(80, total + 12))
+    streams = [[rng.randrange(p) for _ in range(sigma)] for _ in range(m)]
+    points = None if series else rng.sample(range(p), sigma)
+    if planted:
+        vec = [[rng.randrange(p) for _ in range(b)] for b in bounds[:-1]]
+        for j in range(sigma):
+            if series:  # x^j coefficient of sum_l vec_l * stream_l
+                acc = sum(c[e] * s[j - e] for c, s in zip(vec, streams) for e in range(min(len(c), j + 1)))
+            else:
+                acc = sum(sum(ce * pow(points[j], e, p) for e, ce in enumerate(c)) * s[j]
+                          for c, s in zip(vec, streams))
+            streams[-1][j] = -acc % p
+    return streams, bounds, sigma, points
+
+
+@pytest.mark.parametrize("series", [False, True], ids=["sequence", "series"])
+def test_wide_bases_against_dense_oracle(series):
+    p = 2147483647
+    fp = ModPrime(p)
+    rng = random.Random(11 + series)
+    planted_seen = False
+    for trial in range(6):
+        planted = trial % 2 == 0
+        streams, bounds, sigma, points = _wide_instance(rng, p, series, planted, widest=trial < 2)
+        res = sigma_basis(streams, bounds, sigma, fp, points=points)
+        _assert_matches_oracle(res, streams, bounds, sigma, points, p)
+        planted_seen |= planted and max(res.defects) >= 1
+    assert planted_seen
+
+
+@pytest.mark.parametrize("series", [False, True], ids=["sequence", "series"])
+def test_overflow_edge_largest_prime_and_residues(series):
+    # every residue is p - 1, so every multiplier is p - 1 as well and the
+    # multiply-add meets (p - 1) * (p - 1) at the largest admissible prime
+    p = 2**31 - 1
+    fp = ModPrime(p)
+    bounds, sigma = [4, 3, 5], 10
+    streams = [[p - 1] * sigma for _ in bounds]
+    points = None if series else [p - 1 - j for j in range(sigma)]
+    res = sigma_basis(streams, bounds, sigma, fp, points=points)
+    _assert_matches_oracle(res, streams, bounds, sigma, points, p)

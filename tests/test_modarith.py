@@ -1,4 +1,4 @@
-"""Prime sampling, word-size prime fields, packed modular vectors."""
+"""Prime sampling, word-size prime fields, reduction of rationals."""
 
 import random
 from fractions import Fraction
@@ -10,9 +10,7 @@ from seqguess.errors import BadModulus
 from seqguess.modarith import (
     MAX_PRIME_BITS,
     ModPrime,
-    PackedVec,
     is_probable_prime,
-    mul_add_in_place,
     reduce_scalar,
     sample_prime,
 )
@@ -99,54 +97,3 @@ def test_reduce_scalar():
         reduce_scalar(Fraction(1, 7), fp)
     with pytest.raises(BadModulus):
         reduce_scalar(Fraction(3, 14), fp)
-
-
-def test_packed_vec_layout():
-    v = PackedVec.zeros(3, 5)
-    assert v.components == 3 and v.stride == 5
-    v.component(1)[2] = 9
-    assert v.data[1 * 5 + 2] == 9
-
-
-def test_mul_add_in_place_frozen():
-    fp = ModPrime(5)
-    v1 = PackedVec.zeros(1, 2)
-    v2 = PackedVec.zeros(1, 2)
-    v1.component(0)[:] = [1, 2]
-    v2.component(0)[:] = [3, 4]
-    mul_add_in_place(v1, v2, 2, fp)
-    assert list(v1.component(0)) == [2, 0]  # (1+6, 2+8) mod 5
-
-
-def test_mul_add_in_place_no_overflow_at_edge():
-    # largest admissible prime, largest residues: c*v + w must not wrap int64
-    p = 2**31 - 1
-    fp = ModPrime(p)
-    v1 = PackedVec.zeros(1, 3)
-    v2 = PackedVec.zeros(1, 3)
-    v1.component(0)[:] = [p - 1] * 3
-    v2.component(0)[:] = [p - 1] * 3
-    mul_add_in_place(v1, v2, p - 1, fp)
-    # (p-1) + (p-1)^2 = p(p-1) = 0 mod p
-    assert list(v1.component(0)) == [0, 0, 0]
-
-
-def test_mul_add_shape_mismatch():
-    fp = ModPrime(5)
-    with pytest.raises(ValueError):
-        mul_add_in_place(PackedVec.zeros(1, 2), PackedVec.zeros(1, 3), 1, fp)
-
-
-def test_mul_add_random_against_python_ints():
-    rng = random.Random(3)
-    fp = ModPrime(1000003)
-    for _ in range(50):
-        a = [rng.randrange(fp.p) for _ in range(8)]
-        b = [rng.randrange(fp.p) for _ in range(8)]
-        c = rng.randrange(fp.p)
-        v1 = PackedVec.zeros(2, 4)
-        v2 = PackedVec.zeros(2, 4)
-        v1.data[:] = a
-        v2.data[:] = b
-        mul_add_in_place(v1, v2, c, fp)
-        assert list(v1.data) == [(x + c * y) % fp.p for x, y in zip(a, b)]

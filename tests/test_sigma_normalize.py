@@ -7,7 +7,7 @@ import pytest
 
 from oracles import apply_matrix, condition_matrix, flatten_solution, nullspace_dim, order_basis_instances
 from seqguess.hermite_pade import SigmaBasisResult, sigma_basis
-from seqguess.modarith import ModPrime, PackedVec
+from seqguess.modarith import ModPrime
 from seqguess.sigma_normalize import (
     ReductionRecord,
     compare_reductions,
@@ -73,17 +73,16 @@ def _rebuild(normalized):
     """Repackage a normal form as a raw basis result, reusing its columns."""
     m = len(normalized.columns)
     stride = max(max((len(c) for c in col), default=0) for col in normalized.columns) + 2
-    cols, degs = [], []
-    for col in normalized.columns:
-        v = PackedVec.zeros(m, stride)
+    coeffs = np.zeros((m, m, stride), dtype=np.int64)
+    degs = []
+    for k, col in enumerate(normalized.columns):
         for comp, c in enumerate(col):
-            v.component(comp)[: len(c)] = c
-        cols.append(v)
+            coeffs[k, comp, : len(c)] = c
         degs.append([len(c) - 1 for c in col])
     defects = [
         min(b - d for b, d in zip(normalized.bounds, row) if d >= 0) for row in degs
     ]
-    return SigmaBasisResult(cols, np.array(degs, dtype=np.int64), defects, list(normalized.bounds), FP)
+    return SigmaBasisResult(coeffs, np.array(degs, dtype=np.int64), defects, list(normalized.bounds), FP)
 
 
 def test_normalize_is_idempotent():
@@ -104,14 +103,11 @@ def test_normalize_invariant_under_scaling_and_permutation():
 
         order = list(range(basis.m))
         rng.shuffle(order)
-        cols = []
-        for k in order:
-            col = basis.columns[k]
-            c = PackedVec(col.data.copy(), col.components, col.stride)
-            c.data[:] = c.data * rng.randint(1, P - 1) % P
-            cols.append(c)
+        coeffs = basis.coeffs[order]
+        for col in coeffs:
+            col[:] = col * rng.randint(1, P - 1) % P
         mangled = SigmaBasisResult(
-            cols,
+            coeffs,
             basis.degrees[order],
             [basis.defects[k] for k in order],
             basis.bounds,
