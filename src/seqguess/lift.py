@@ -13,8 +13,12 @@ data by solving modular images and reconstructing:
 
 Unlucky moduli are detected by comparing the shape fingerprints of the
 normalized modular bases (see sigma_normalize): a mismatch marks either
-the new image or everything accumulated so far as bad.  A reconstruction
-candidate is only returned after a fresh modulus reproduces it exactly.
+the new image or everything accumulated so far as bad.  Once bad images
+outnumber the good ones by more than two, the prime level drops its
+state and adopts the current image, while the point level gives up on
+its prime; so one unlucky first image costs a bounded number of solves.
+A reconstruction candidate is only returned after a fresh modulus
+reproduces it exactly.
 
 Most solves of a search end in NoSolution, so that outcome is kept cheap:
 the first image of a level is tested on the raw order basis, whose
@@ -315,12 +319,14 @@ def do_solve(builder: ProblemBuilder, bounds: list[int], domain: str = "rational
             _emit(state, opts, "skip_prime", p)
             continue
         verdict = check_reduction(record, state, shape)
-        if verdict != "bad" and _positive(record) == 0:
-            raise NoSolution("a good modular image has an empty solution space")
         if verdict == "bad":
             state.bad_count += 1
-            _emit(state, opts, "bad_prime", p)
-            continue
+            if state.bad_count <= state.good_count + 2:
+                _emit(state, opts, "bad_prime", p)
+                continue
+            verdict = "all_bad"  # the bad images outvote the state: adopt this one
+        if _positive(record) == 0:
+            raise NoSolution("a good modular image has an empty solution space")
         if verdict == "all_bad":
             _emit(state, opts, "all_bad", p)
             state.record = None

@@ -12,8 +12,10 @@ dilated/substituted copies of f, under one of four interpretation tags:
 The guessed equation is a linear combination of the schema's monomials
 with polynomial coefficients; finding it is a Hermite-Pade problem whose
 input streams are the monomial values (sequence classes) or monomial
-series coefficients (series classes), built here either modulo a prime
-or exactly for verification.
+series coefficients (series classes).  One builder, check_images, makes
+them: modulo a prime for the solver (cut to the shared order by
+build_images) or exactly, at each monomial's natural length, for
+verification.  Shared monomial prefixes are multiplied once (cauchy_plan).
 """
 
 from __future__ import annotations
@@ -211,22 +213,12 @@ def build_schema(klass: str, opts, m: int, q: bool = False) -> Schema:
 # shared-subproduct plan for monomial products
 
 
-@dataclass(frozen=True)
-class CauchyPlan:
+def cauchy_plan(parts_list) -> tuple[tuple[int, ...], ...]:
     """Products to perform, each combining a cached prefix with one atom.
 
-    Steps are ascending-sorted part tuples; tuple[:-1] is already cached
-    when tuple is computed, so every step costs exactly one product.
+    Steps are ascending-sorted part tuples; step[:-1] is already cached
+    when step is computed, so every step costs exactly one product.
     """
-
-    steps: tuple[tuple[int, ...], ...]
-
-    @property
-    def product_count(self) -> int:
-        return len(self.steps)
-
-
-def cauchy_plan(parts_list) -> CauchyPlan:
     seen = set()
     steps = []
     for parts in parts_list:
@@ -236,7 +228,7 @@ def cauchy_plan(parts_list) -> CauchyPlan:
             if prefix not in seen:
                 seen.add(prefix)
                 steps.append(prefix)
-    return CauchyPlan(tuple(steps))
+    return tuple(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -283,23 +275,21 @@ def _geometric(q, count: int, F) -> list:
     return out
 
 
-def _atom_stream(part: int, tag: str, terms, sigma: int, F, qval) -> list:
+def _atom_stream(part: int, tag: str, terms, top: int, F, qpowers) -> list:
+    """One copy of f at its natural length, capped at top entries."""
     if tag == "shift":
-        return terms[part - 1 : part - 1 + sigma]
+        return terms[part - 1 : part - 1 + top]
     if tag == "derivative":
         g = terms
         for k in range(part - 1):
             g = [F.mul(F.from_int(j + 1), g[j + 1]) for j in range(len(g) - 1)]
-        return g[:sigma]
+        return g[:top]
     if tag == "qdilation":
-        qk = F.one
-        for _ in range(part - 1):
-            qk = F.mul(qk, qval)
-        return [F.mul(c, w) for c, w in zip(terms[:sigma], _geometric(qk, sigma, F))]
+        return [F.mul(c, w) for c, w in zip(terms, qpowers(part - 1))]
     if tag == "mahler":
-        out = [F.zero] * sigma
+        out = [F.zero] * top
         for j in range(len(terms)):
-            if j * part >= sigma:
+            if j * part >= top:
                 break
             out[j * part] = terms[j]
         return out
@@ -320,101 +310,75 @@ def _field_setup(terms, schema: Schema, F, q_point):
     return [_to_field(t, F, q_point) for t in terms], qval
 
 
-def build_images(terms, schema: Schema, F, q_point=None) -> OrderProblem:
-    """Evaluate every schema monomial against the terms, in the field F.
+def check_images(terms, schema: Schema, F, q_point=None, cut=None):
+    """Every schema monomial evaluated against the terms, in the field F.
 
     F is a ModPrime (terms reduced once, all further work modular) or an
     exact field (QQ, QQ_T) for verification.  q_point specializes the
     q parameter when F is modular; exact q work uses the parameter
-    itself.
-    """
-    sigma = len(terms) - schema.loss
-    if sigma < 1:
-        raise ValueError("not enough terms for this schema")
-    terms_f, qval = _field_setup(terms, schema, F, q_point)
-    series = schema.series
+    itself.  Returns (streams, points), points None for series.
 
-    atoms: dict[int, list] = {}
-    for mo in schema.monomials:
-        for part in mo.parts:
-            if part not in atoms:
-                atoms[part] = _atom_stream(part, mo.tag, terms_f, sigma, F, qval)
-
-    if series:
-        const = [F.one] + [F.zero] * (sigma - 1)
-
-        def mul(a, b):
-            return pmul_trunc(a, b, sigma, F)
-
-    else:
-        const = [F.one] * sigma
-
-        def mul(a, b):
-            return [F.mul(x, y) for x, y in zip(a, b)]
-
-    plan = cauchy_plan([mo.parts for mo in schema.monomials])
-    memo: dict[tuple[int, ...], list] = {(): const}
-    for part in atoms:
-        memo[(part,)] = atoms[part]
-    for prefix in plan.steps:
-        memo[prefix] = mul(memo[prefix[:-1]], memo[prefix[-1:]])
-
-    streams = []
-    for mo in schema.monomials:
-        base = memo[tuple(sorted(mo.parts))]
-        if mo.mixed:
-            qj = F.one
-            for _ in range(mo.mixed):
-                qj = F.mul(qj, qval)
-            base = [F.mul(v, w) for v, w in zip(base, _geometric(qj, sigma, F))]
-        streams.append(list(base))
-
-    if series:
-        points = None
-    elif schema.points_kind == "qpower":
-        points = _geometric(qval, sigma, F)
-    else:
-        points = [F.from_int(i) for i in range(sigma)]
-    return OrderProblem(streams=streams, points=points, sigma=sigma)
-
-
-def check_images(terms, schema: Schema, F, q_point=None):
-    """Per-monomial images at each monomial's own natural length.
-
-    Unlike build_images, which cuts every stream to the shared order,
-    stream l here has length len(terms) - loss_l and the point list (for
-    sequence kinds) covers all len(terms) indices.  This exposes every
-    condition the supplied data can express, for verifying candidate
-    equations beyond the order the solver used.
+    Stream l has its monomial's natural length len(terms) - loss_l and
+    the points cover all len(terms) indices, which exposes every
+    condition the data can express; `cut` caps every length at cut.
+    Each atom, each step of the shared-subproduct plan and each power
+    sequence of q is computed once.  For shift and derivative tags the
+    last part of a sorted prefix names the shortest atom, so every
+    product takes its length from that atom.
     """
     N = len(terms)
     if N - schema.loss < 1:
         raise ValueError("not enough terms for this schema")
+    top = N if cut is None else min(N, cut)
     terms_f, qval = _field_setup(terms, schema, F, q_point)
     series = schema.series
+
+    qpow: dict[int, list] = {}
+
+    def qpowers(j: int) -> list:
+        """q^(j i) for i < top."""
+        if j not in qpow:
+            qj = F.one
+            for _ in range(j):
+                qj = F.mul(qj, qval)
+            qpow[j] = _geometric(qj, top, F)
+        return qpow[j]
+
+    memo: dict[tuple[int, ...], list] = {}
+    for mo in schema.monomials:
+        for part in mo.parts:
+            if (part,) not in memo:
+                memo[(part,)] = _atom_stream(part, mo.tag, terms_f, top, F, qpowers)
+    for prefix in cauchy_plan([mo.parts for mo in schema.monomials]):
+        a, b = memo[prefix[:-1]], memo[prefix[-1:]]
+        if series:
+            memo[prefix] = pmul_trunc(a, b, len(b), F)
+        else:
+            memo[prefix] = [F.mul(x, y) for x, y in zip(a, b)]
+
     streams = []
     for mo in schema.monomials:
-        L = N - mo.loss
-        if series:
-            acc = [F.one] + [F.zero] * (L - 1)
+        if mo.parts:
+            base = memo[tuple(sorted(mo.parts))]
+        elif series:
+            base = [F.one] + [F.zero] * (top - 1)
         else:
-            acc = [F.one] * L
-        for part in mo.parts:
-            atom = _atom_stream(part, mo.tag, terms_f, L, F, qval)
-            if series:
-                acc = pmul_trunc(acc, atom, L, F)
-            else:
-                acc = [F.mul(x, y) for x, y in zip(acc, atom)]
+            base = [F.one] * top
         if mo.mixed:
-            qj = F.one
-            for _ in range(mo.mixed):
-                qj = F.mul(qj, qval)
-            acc = [F.mul(v, w) for v, w in zip(acc, _geometric(qj, L, F))]
-        streams.append(acc)
+            base = [F.mul(v, w) for v, w in zip(base, qpowers(mo.mixed))]
+        streams.append(base)
+
     if series:
         points = None
     elif schema.points_kind == "qpower":
-        points = _geometric(qval, N, F)
+        points = qpowers(1)
     else:
-        points = [F.from_int(i) for i in range(N)]
+        points = [F.from_int(i) for i in range(top)]
     return streams, points
+
+
+def build_images(terms, schema: Schema, F, q_point=None) -> OrderProblem:
+    """check_images cut to the shared order sigma = len(terms) - loss."""
+    sigma = len(terms) - schema.loss
+    streams, points = check_images(terms, schema, F, q_point, cut=sigma)
+    return OrderProblem(streams=streams, points=points, sigma=sigma)

@@ -33,20 +33,12 @@ class _RationalField:
         return a - b
 
     @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
     def mul(a, b):
         return a * b
 
     @staticmethod
     def inv(a):
         return 1 / Fraction(a)
-
-    @staticmethod
-    def div(a, b):
-        return Fraction(a) / b
 
     @staticmethod
     def is_zero(a):
@@ -277,20 +269,12 @@ class _RatPolyField:
         return a - b
 
     @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
     def mul(a, b):
         return a * b
 
     @staticmethod
     def inv(a):
         return _RatPolyField.one / a
-
-    @staticmethod
-    def div(a, b):
-        return a / b
 
     @staticmethod
     def is_zero(a):
@@ -415,7 +399,7 @@ def rat_recon(M: int, modulus: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
-def rat_recon_vec(images: list, modulus: int, stats: dict | None = None) -> list | None:
+def rat_recon_vec(images: list, modulus: int) -> list | None:
     """Entrywise reconstruction with an incrementally shared denominator.
 
     For each entry, D*M mod modulus (D = lcm of denominators seen so far)
@@ -433,14 +417,10 @@ def rat_recon_vec(images: list, modulus: int, stats: dict | None = None) -> list
                 a -= modulus
             if abs(a) <= bound:
                 out.append(Fraction(a, den))
-                if stats is not None:
-                    stats["shortcut"] = stats.get("shortcut", 0) + 1
                 continue
         f = rat_recon(M, modulus)
         if f is None:
             return None
-        if stats is not None:
-            stats["full"] = stats.get("full", 0) + 1
         out.append(f)
         den = den * f.denominator // math.gcd(den, f.denominator)
     return out

@@ -101,3 +101,64 @@ def order_basis_instances(p, count=500, seed=500):
         streams = [[rng.randrange(p) for _ in range(sigma)] for _ in range(m)]
         points = None if rng.random() < 0.5 else rng.sample(range(p), sigma)
         yield bounds, sigma, streams, points
+
+
+def _power(F, x, e):
+    acc = F.one
+    for _ in range(e):
+        acc = F.mul(acc, x)
+    return acc
+
+
+def _naive_atom(part, tag, terms, length, F, qval):
+    """Entry i of one copy of f, from its closed form."""
+    out = []
+    for i in range(length):
+        if tag == "shift":
+            out.append(terms[i + part - 1])
+        elif tag == "derivative":
+            falling = 1
+            for k in range(i + 1, i + part):
+                falling *= k
+            out.append(F.mul(F.from_int(falling), terms[i + part - 1]))
+        elif tag == "qdilation":
+            out.append(F.mul(terms[i], _power(F, qval, (part - 1) * i)))
+        else:  # mahler
+            out.append(terms[i // part] if i % part == 0 else F.zero)
+    return out
+
+
+def naive_images(terms, schema, F, qval=None):
+    """(streams, points) of a schema, one monomial at a time.
+
+    `terms` are already in F and `qval` is the q value in F.  Each
+    monomial is the product of its atoms at its own natural length
+    len(terms) - loss: pointwise for sequences, a full Cauchy product
+    for series.  Shares no code with the builder in models.
+    """
+    N = len(terms)
+    streams = []
+    for mo in schema.monomials:
+        L = N - mo.loss
+        acc = [F.one] + [F.zero] * (L - 1) if schema.series else [F.one] * L
+        for part in mo.parts:
+            atom = _naive_atom(part, mo.tag, terms, L, F, qval)
+            if schema.series:
+                prod = []
+                for i in range(L):
+                    s = F.zero
+                    for j in range(i + 1):
+                        s = F.add(s, F.mul(acc[j], atom[i - j]))
+                    prod.append(s)
+                acc = prod
+            else:
+                acc = [F.mul(x, y) for x, y in zip(acc, atom)]
+        acc = [F.mul(v, _power(F, qval, mo.mixed * i)) if mo.mixed else v for i, v in enumerate(acc)]
+        streams.append(acc)
+    if schema.series:
+        points = None
+    elif schema.points_kind == "qpower":
+        points = [_power(F, qval, i) for i in range(N)]
+    else:
+        points = [F.from_int(i) for i in range(N)]
+    return streams, points

@@ -129,6 +129,24 @@ def test_bad_prime_later_is_discarded():
     assert res.columns == GOOD_COLUMNS
 
 
+def test_incompatible_first_image_is_outvoted_promptly():
+    """A first image whose record is incompatible with every later one is
+    dropped once the bad images outnumber it, not after max_primes solves."""
+    calls = []
+
+    def build(fp, t_point):
+        calls.append(fp.p)
+        streams = [[2, 2], [0, 0]] if len(calls) == 1 else [[-3, 3], [-2, 2]]
+        return OrderProblem(
+            streams=[[v % fp.p for v in s] for s in streams], points=[0, 1], sigma=2
+        )
+
+    res = do_solve(build, [2, 2], "rational", LiftOptions(seed=1))
+    assert res.columns == [[[F(1)], [F(-3, 2)]]]
+    assert "all_bad" in [e[0] for e in res.state.events]
+    assert len(calls) <= 8
+
+
 def test_check_reduction_verdicts():
     good = ReductionRecord((1, -1), (0, 1), (2, 3))
     bad = ReductionRecord((2, -2), (0, 1), (1, 4))

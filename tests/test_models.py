@@ -21,6 +21,8 @@ from seqguess.models import (
 )
 from seqguess.rings import QQ, QQ_T, QPARAM, RatPoly
 
+from oracles import naive_images
+
 
 def test_partitions_lex_frozen():
     assert partitions_lex(3) == [(), (1,), (1, 1), (2,), (1, 1, 1), (2, 1), (3,)]
@@ -104,10 +106,9 @@ def test_monomial_loss_and_degree():
 
 def test_cauchy_plan_reuses_sorted_prefixes():
     parts = [(1, 1), (1, 1, 2)]
-    plan = cauchy_plan(parts)
-    assert plan.product_count == 2  # (1,1) then (1,1)*2
+    assert cauchy_plan(parts) == ((1, 1), (1, 1, 2))  # 2 products: (1,1) then (1,1)*2
     parts = [(2, 2), (2, 2), (3,)]
-    assert cauchy_plan(parts).product_count == 1
+    assert len(cauchy_plan(parts)) == 1
 
 
 def test_build_images_sequence_frozen():
@@ -212,3 +213,48 @@ def test_check_images_series():
     assert streams[0] == [1, 0, 0, 0]
     assert streams[1] == terms
     assert streams[2] == [1, 2, 5, 14]  # f^2 truncated
+
+
+# (class, options, q mode): every class with nonlinear monomials, shift and
+# derivative losses, mixed q^(jn) factors, q-dilations and q-power points
+BUILDER_CASES = [
+    ("rec", Options(max_shift=2, max_power=2), False),
+    ("ade", Options(max_derivative=2, max_power=2), False),
+    ("fe", Options(max_level=2, max_power=2), False),
+    ("alg", Options(max_power=3), False),
+    ("rec", Options(max_shift=1, max_power=2, max_mixed_degree=2), True),
+    ("ade", Options(max_derivative=1, max_power=2), True),
+    ("alg", Options(max_power=3), True),
+    ("rat", Options(), True),
+]
+
+
+def _builder_fields(q: bool, rng):
+    """(F, q_point, exact terms, how a term maps into F, q value in F)."""
+    fp = ModPrime(10007)
+    tau = 5
+    if q:
+        terms = [RatPoly.make([rng.randint(-4, 4) for _ in range(2)], [rng.randint(1, 3), 1]) for _ in range(7)]
+        yield QQ_T, None, terms, lambda t: t, QPARAM
+        yield fp, tau, terms, lambda t: reduce_scalar(t.eval(F(tau)), fp), tau
+    else:
+        terms = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(8)]
+        yield QQ, None, terms, F, None
+        yield fp, None, terms, lambda t: reduce_scalar(t, fp), None
+
+
+@pytest.mark.parametrize("klass,opts,q", BUILDER_CASES)
+def test_builder_matches_naive_products(klass, opts, q):
+    """check_images equals one plain product per monomial at its natural
+    length; build_images equals the same cut to the shared order."""
+    monos = list(schema_stream(klass, opts, q))
+    schema = build_schema(klass, opts, len(monos), q)
+    assert klass == "rat" or any(mo.degree >= 2 for mo in schema.monomials)
+    for field, q_point, terms, into, qval in _builder_fields(q, random.Random(len(monos))):
+        ref_streams, ref_points = naive_images([into(t) for t in terms], schema, field, qval)
+        assert check_images(terms, schema, field, q_point) == (ref_streams, ref_points)
+        prob = build_images(terms, schema, field, q_point)
+        sigma = len(terms) - schema.loss
+        assert prob.sigma == sigma
+        assert prob.streams == [s[:sigma] for s in ref_streams]
+        assert prob.points == (None if ref_points is None else ref_points[:sigma])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqguess import rings
 from seqguess.modarith import ModPrime, reduce_scalar, sample_prime
 from seqguess.rings import (
     QQ,
@@ -279,15 +280,21 @@ def test_rat_recon_roundtrip_random():
         assert rat_recon(image, modulus) == f
 
 
-def test_rat_recon_vec_shared_denominator_stats():
+def test_rat_recon_vec_shared_denominator_stats(monkeypatch):
     modulus = 1000003 * 1000033
     values = [F(1, 3), F(1, 2), F(5), F(-7, 6)]
     images = [v.numerator * pow(v.denominator, -1, modulus) % modulus for v in values]
-    stats = {}
-    assert rat_recon_vec(images, modulus, stats) == values
+    full = []
+
+    def counted(M, mod):
+        full.append(M)
+        return rat_recon(M, mod)
+
+    monkeypatch.setattr(rings, "rat_recon", counted)
+    assert rat_recon_vec(images, modulus) == values
     # 1/3 and 1/2 need the full Euclid pass; once the running denominator
     # holds 6, the entries 5 and -7/6 come out by direct scaling
-    assert stats == {"full": 2, "shortcut": 2}
+    assert {"full": len(full), "shortcut": len(values) - len(full)} == {"full": 2, "shortcut": 2}
 
 
 def test_rat_recon_vec_failure_is_none():
