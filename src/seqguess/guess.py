@@ -38,7 +38,7 @@ from .models import (
     build_schema,
     check_images,
 )
-from .rings import QQ, QQ_T, RatPoly, peval, pmul_trunc, pscale, psub
+from .rings import QQ, QQ_T, ZZ, RatPoly, peval, pmul_trunc, pscale, psub
 
 
 @dataclass
@@ -235,6 +235,39 @@ def _first_failure(coeffs, schema: Schema, streams, points, F):
     return None
 
 
+def _exact_images(terms, schema: Schema):
+    """Streams for the exact check, with the scale D of their terms.
+
+    Over Q and Q[[x]] the terms are scaled by D, the lcm of their
+    denominators, and the streams built over ZZ.  Every atom is linear
+    in f, so the stream of a monomial of degree k is D^k times the
+    rational one.  q mode stays over QQ_T with D = 1.
+    """
+    if schema.q:
+        return (*check_images(terms, schema, QQ_T), 1)
+    D = math.lcm(*(t.denominator for t in terms))
+    return (*check_images([t.numerator * (D // t.denominator) for t in terms], schema, ZZ), D)
+
+
+def _exact_failure(col, schema: Schema, exact):
+    """_first_failure of a Q or Q(q) column against _exact_images.
+
+    Over ZZ, coefficient list l is scaled by L * D^(K - k_l), with L the
+    lcm of the column's denominators, K the largest monomial degree and
+    k_l the degree of monomial l.  Every condition is then L * D^K times
+    the rational one, so the failure value is divided back by that.
+    """
+    streams, points, D = exact
+    if schema.q:
+        return _first_failure(col, schema, streams, points, QQ_T)
+    K = max(mo.degree for mo in schema.monomials)
+    L = math.lcm(*(c.denominator for cs in col for c in cs))
+    scales = [L * D ** (K - mo.degree) for mo in schema.monomials]
+    scaled = [[c.numerator * (s // c.denominator) for c in cs] for cs, s in zip(col, scales)]
+    fail = _first_failure(scaled, schema, streams, points, ZZ)
+    return None if fail is None else (fail[0], Fraction(fail[1], L * D**K))
+
+
 def filter_interpolating(columns, schema: Schema, terms, check_extra_values: bool = True, exact=None):
     """Keep solution columns that annihilate every supplied term.
 
@@ -242,17 +275,17 @@ def filter_interpolating(columns, schema: Schema, terms, check_extra_values: boo
     columns first fail at the same condition, the combination cancelling
     that condition is tested in full.  A modular basis can split one
     interpolating solution across two non-interpolating basis vectors;
-    the pairwise combination recovers it.
+    the pairwise combination recovers it.  `exact` is the output of
+    _exact_images, built here when not given.
     """
     if not check_extra_values:
         return list(columns)
     F = QQ_T if schema.q else QQ
     if exact is None:
-        exact = check_images(terms, schema, F)
-    streams, points = exact
+        exact = _exact_images(terms, schema)
     passed, rejected = [], []
     for col in columns:
-        fail = _first_failure(col, schema, streams, points, F)
+        fail = _exact_failure(col, schema, exact)
         if fail is None:
             passed.append(col)
         else:
@@ -261,7 +294,7 @@ def filter_interpolating(columns, schema: Schema, terms, check_extra_values: boo
         if fi[0] != fj[0]:
             continue
         combo = [psub(pscale(a, fj[1], F), pscale(b, fi[1], F), F) for a, b in zip(ci, cj)]
-        if any(combo) and _first_failure(combo, schema, streams, points, F) is None:
+        if any(combo) and _exact_failure(combo, schema, exact) is None:
             passed.append(combo)
     return passed
 
@@ -269,10 +302,8 @@ def filter_interpolating(columns, schema: Schema, terms, check_extra_values: boo
 def check_deterministic(result: GuessResult, terms) -> bool:
     """Exact check of the equation against all checkable conditions."""
     schema = result.schema
-    F = QQ_T if schema.q else QQ
     terms = _coerce_terms(terms, schema.q)
-    streams, points = check_images(terms, schema, F)
-    return _first_failure(result.coeffs, schema, streams, points, F) is None
+    return _exact_failure(result.coeffs, schema, _exact_images(terms, schema)) is None
 
 
 def check_monte_carlo(result: GuessResult, terms, trials: int = 3, seed: int = 0) -> bool:
@@ -380,7 +411,6 @@ def _search(terms, klass: str, opts: Options, q: bool) -> list[GuessResult]:
     N = len(terms)
     domain = "polyrational" if q else "rational"
     all_deg = opts.all_degrees if opts.all_degrees is not None else klass in ("rat", "pade")
-    F = QQ_T if q else QQ
     scored: list[tuple[tuple, GuessResult]] = []
     best_budget: int | None = None
     serial = itertools.count()
@@ -412,14 +442,14 @@ def _search(terms, klass: str, opts: Options, q: bool) -> list[GuessResult]:
             except NoSolution:
                 continue
             if exact is None:
-                exact = check_images(terms, schema, F)
+                exact = _exact_images(terms, schema)
             key = tuple(tuple(map(tuple, col)) for col in lifted.columns)
             if key not in verdicts:
                 verdicts[key] = filter_interpolating(lifted.columns, schema, terms, opts.check_extra_values, exact)
             cols = verdicts[key]
             for col in cols:
                 if opts.check == "deterministic":
-                    if not opts.check_extra_values and _first_failure(col, schema, *exact, F) is not None:
+                    if not opts.check_extra_values and _exact_failure(col, schema, exact) is not None:
                         continue
                     checked = "deterministic"
                 elif opts.check == "montecarlo":

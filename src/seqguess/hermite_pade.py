@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadModulus
+from .errors import BadModulus, NoSolution
 from .modarith import ModPrime
 
 
@@ -65,6 +65,7 @@ def sigma_basis(
     fp: ModPrime,
     points: list[int] | None = None,
     tie_break: str = "low",
+    need_solution: bool = False,
 ) -> SigmaBasisResult:
     """Order basis of the first `sigma` conditions.
 
@@ -72,6 +73,11 @@ def sigma_basis(
     form, low-order series coefficients in the series form.  bounds[l]
     caps the component-l degree a column may reach while still counting
     as a solution (defect >= 1 means degree <= bounds[l] - 1 everywhere).
+
+    need_solution: raise NoSolution as soon as every defect is <= 0.  The
+    basis is reduced after every step and each step's module contains
+    the next one, so the largest defect never rises again and the full
+    basis would have no solution column either.
     """
     m = len(streams)
     if len(bounds) != m:
@@ -142,6 +148,8 @@ def sigma_basis(
             defects = [top + 1 - s for s in (nz * score[:end - sigma]).max(axis=1).tolist()]
         else:
             defects[piv] -= 1  # every nonzero component gained one degree
+        if need_solution and max(defects) <= 0:
+            raise NoSolution(f"empty solution space mod {p} after {j + 1} of {sigma} conditions")
 
     if max(defects, default=0) > top:  # a zero column scores 0: defect top + 1
         raise ValueError("zero column in order basis")

@@ -21,10 +21,11 @@ A reconstruction candidate is only returned after a fresh modulus
 reproduces it exactly.
 
 Most solves of a search end in NoSolution, so that outcome is kept cheap:
-the first image of a level is tested on the raw order basis, whose
-defects are already the normal-form ones (the iteration returns a
-reduced basis), and the rational domain draws its primes from a shared
-list per (seed, bits) instead of re-sampling the same sequence per solve.
+on the first image of a level the order basis stops as soon as its
+defects, already the normal-form ones (the iteration keeps the basis
+reduced), leave no column that can fit, and the rational domain draws
+its primes from a shared list per (seed, bits) instead of re-sampling
+the same sequence per solve.
 """
 
 from __future__ import annotations
@@ -152,14 +153,12 @@ def _solve_image(builder: ProblemBuilder, bounds: list[int], fp: ModPrime, t_poi
     Solution-column components are padded to their degree bounds so the
     flat layout depends only on the record, never on accidental degree
     drops mod p.  `first` marks the first image of a level (no record to
-    compare with yet): there an empty raw basis raises NoSolution before
-    normalizing, since the raw defects equal the normal-form ones.
+    compare with yet): there the order basis itself raises NoSolution as
+    soon as no column can fit, since the raw defects equal the
+    normal-form ones.
     """
     prob = builder(fp, t_point)
-    basis = sigma_basis(prob.streams, bounds, prob.sigma, fp, points=prob.points)
-    if first and not basis.solution_indices():
-        where = "" if t_point is None else f" at t={t_point}"
-        raise NoSolution(f"empty solution space mod {fp.p}{where}")
+    basis = sigma_basis(prob.streams, bounds, prob.sigma, fp, points=prob.points, need_solution=first)
     norm = sigma_normalize(basis)
     flat: list[int] = []
     for k in norm.solution_indices():

@@ -20,13 +20,14 @@ verification.  Shared monomial prefixes are multiplied once (cauchy_plan).
 
 from __future__ import annotations
 
+import functools
 import itertools
+import types
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BadModulus, SchemaExhausted
 from .modarith import ModPrime, reduce_scalar
-from .rings import QPARAM, QQ, QQ_T, RatPoly, pmul_trunc
+from .rings import QPARAM, QQ_T, RatPoly, pmul_trunc
 
 # ---------------------------------------------------------------------------
 # integer partitions in the fixed enumeration order
@@ -192,11 +193,15 @@ def schema_stream(klass: str, opts, q: bool = False):
                 yield Monomial(parts, tag, j)
 
 
+# the options schema_stream reads
+_SCHEMA_FIELDS = ("max_shift", "max_derivative", "max_level", "max_power", "homogeneous", "somos", "max_mixed_degree")
+
+
 def build_schema(klass: str, opts, m: int, q: bool = False) -> Schema:
     """First m monomials of the filtered stream; SchemaExhausted if fewer."""
     if m < 2:
         raise ValueError("schemas start at two monomials")
-    monos = tuple(itertools.islice(schema_stream(klass, opts, q), m))
+    monos = _first_monomials(klass, m, q, *(getattr(opts, name) for name in _SCHEMA_FIELDS))
     if len(monos) < m:
         raise SchemaExhausted(f"class {klass}: only {len(monos)} monomials under the active filters")
     series = _CLASSES[klass][1]
@@ -207,6 +212,17 @@ def build_schema(klass: str, opts, m: int, q: bool = False) -> Schema:
     else:
         kind = "integer"
     return Schema(monos, klass, q, kind)
+
+
+@functools.lru_cache(maxsize=1024, typed=True)
+def _first_monomials(klass: str, m: int, q: bool, *values) -> tuple[Monomial, ...]:
+    """Up to m monomials of schema_stream, memoized on the options it reads.
+
+    The cache keys each value by type too: homogeneous=True and
+    homogeneous=1 are different filters.
+    """
+    opts = types.SimpleNamespace(**dict(zip(_SCHEMA_FIELDS, values)))
+    return tuple(itertools.islice(schema_stream(klass, opts, q), m))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +279,7 @@ def _to_field(term, F, q_point):
         return reduce_scalar(term, F)
     if F is QQ_T:
         return RatPoly.coerce(term)
-    return Fraction(term)
+    return term  # QQ takes Fractions, ZZ ints scaled by the caller
 
 
 def _geometric(q, count: int, F) -> list:
@@ -313,10 +329,11 @@ def _field_setup(terms, schema: Schema, F, q_point):
 def check_images(terms, schema: Schema, F, q_point=None, cut=None):
     """Every schema monomial evaluated against the terms, in the field F.
 
-    F is a ModPrime (terms reduced once, all further work modular) or an
-    exact field (QQ, QQ_T) for verification.  q_point specializes the
-    q parameter when F is modular; exact q work uses the parameter
-    itself.  Returns (streams, points), points None for series.
+    F is a ModPrime (terms reduced once, all further work modular) or
+    exact, for verification: ZZ on integer terms, QQ, or QQ_T in q mode.
+    q_point specializes the q parameter when F is modular; exact q work
+    uses the parameter itself.  Returns (streams, points), points None
+    for series.
 
     Stream l has its monomial's natural length len(terms) - loss_l and
     the points cover all len(terms) indices, which exposes every

@@ -3,7 +3,8 @@
 Polynomials are plain coefficient lists, lowest degree first, with no
 trailing zeros; `[]` is the zero polynomial.  All routines take the
 coefficient field as an explicit argument so the same code runs over
-Z_p (int residues, `ModPrime`) and over the rationals (`QQ`).
+Z_p (int residues, `ModPrime`), over the rationals (`QQ`) and, where no
+division is needed, over the integers (`ZZ`).
 
 Everything here is deliberately quadratic: schoolbook products, plain
 extended Euclid, incremental Newton interpolation.
@@ -12,6 +13,7 @@ extended Euclid, incremental Newton interpolation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -53,6 +55,24 @@ class _RationalField:
 
 
 QQ = _RationalField()
+
+
+class _IntegerRing:
+    """The field protocol minus inv, for exact integers (plain ints)."""
+
+    zero = 0
+    one = 1
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    is_zero = staticmethod(operator.not_)
+    from_int = staticmethod(int)
+
+    def __repr__(self):
+        return "ZZ"
+
+
+ZZ = _IntegerRing()
 
 
 # ---------------------------------------------------------------------------

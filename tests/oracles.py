@@ -162,3 +162,44 @@ def naive_images(terms, schema, F, qval=None):
     else:
         points = [F.from_int(i) for i in range(N)]
     return streams, points
+
+
+class _Fractions:
+    """Plain Fraction arithmetic in the field protocol naive_images uses."""
+
+    zero, one = Fraction(0), Fraction(1)
+
+    @staticmethod
+    def add(a, b):
+        return a + b
+
+    @staticmethod
+    def mul(a, b):
+        return a * b
+
+    from_int = Fraction
+
+
+def condition_values(coeffs, schema, terms):
+    """Every condition the data determines for a candidate, as Fractions.
+
+    Sequences: sum_l c_l(i) * stream_l[i] for each row i that every used
+    monomial reaches.  Series: the x^i coefficient of sum_l c_l * stream_l
+    for i below min over used l of (stream length + valuation of c_l).
+    Monomial values come from naive_images over plain Fractions.
+    """
+    streams, points = naive_images([Fraction(t) for t in terms], schema, _Fractions)
+    used = [l for l, c in enumerate(coeffs) if c]
+    if not schema.series:
+        rows = min(len(streams[l]) for l in used)
+        return [sum(Fraction(c) * points[i] ** e * streams[l][i] for l in used for e, c in enumerate(coeffs[l]))
+                for i in range(rows)]
+    order = min(len(streams[l]) + next(e for e, c in enumerate(coeffs[l]) if c) for l in used)
+    return [sum(Fraction(c) * streams[l][i - e] for l in used for e, c in enumerate(coeffs[l])
+                if c and i - e >= 0)
+            for i in range(order)]
+
+
+def first_failure_reference(coeffs, schema, terms):
+    """(index, value) of the first nonzero condition, or None when all vanish."""
+    return next(((i, v) for i, v in enumerate(condition_values(coeffs, schema, terms)) if v), None)

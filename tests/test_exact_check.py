@@ -1,0 +1,150 @@
+"""Exact verification: integer check against a plain Fraction reference,
+and rejection of candidates that only the last condition refutes."""
+
+import math
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import condition_values, first_failure_reference
+from seqguess.guess import (
+    Options,
+    _exact_failure,
+    _exact_images,
+    check_deterministic,
+    filter_interpolating,
+    guess_class,
+)
+from seqguess.modarith import is_probable_prime
+from seqguess.models import build_schema
+from seqguess.rings import RatPoly
+
+# ---------------------------------------------------------------------------
+# a planted equation is refuted by a change of its last term alone
+
+
+def _q(*coeffs):
+    return RatPoly.make(list(coeffs))
+
+
+def _q_power(k):
+    return RatPoly.make([0] * k + [1])
+
+
+# (class, terms, options, q mode): every class, q-power and mixed q
+# sequences, and a q-dilation series
+PLANTED = [
+    ("rat", [F(n * n + 1, n + 2) for n in range(8)], {}, False),
+    ("pade", [1, 1, 2, 3, 5, 8, 13, 21, 34], {}, False),
+    ("prec", [F(1, math.factorial(n)) for n in range(10)], {}, False),
+    ("rec", [1, 1, 0, 1, -1, 2, -1, 5, -4, 29, -13, 854, -685], {}, False),
+    ("holo", [F(1, math.factorial(n)) for n in range(8)], {}, False),
+    ("alg", [1, 1, 2, 5, 14, 42, 132, 429], {}, False),
+    ("ade", [F(1), F(1), F(2), F(9, 2), F(32, 3), F(625, 24), F(324, 5),
+             F(117649, 720), F(131072, 315), F(4782969, 4480)], {}, False),
+    ("fe", [0, 1, 1, 1, 2, 3, 6, 11, 23], {}, False),
+    ("rat", [_q(1), _q(1, 1, 1), _q(1, 1, 1) * _q(1, 0, 1), _q(1, 0, 1) * _q(1, 1, 1, 1, 1),
+             _q(1, 1, 1, 1, 1) * _q(1, 1, 1) * _q(1, 0, 0, 1) / _q(1, 1)], {}, True),
+    ("prec", [_q_power(n * (n - 1)) * math.factorial(n) for n in range(8)],
+     {"max_mixed_degree": 2, "homogeneous": True}, True),
+    ("pade", [_q_power(n) for n in range(6)], {}, True),
+]
+
+
+@pytest.mark.parametrize("klass, terms, kw, q", PLANTED,
+                         ids=[f"{k}{'-q' if q else ''}-{i}" for i, (k, _, _, q) in enumerate(PLANTED)])
+def test_change_of_the_last_term_alone_is_rejected(klass, terms, kw, q):
+    res = guess_class(terms, klass, q=q, **kw)[0]
+    terms = [RatPoly.coerce(t) if q else F(t) for t in terms]
+    changed = terms[:-1] + [terms[-1] + 1]
+    assert check_deterministic(res, terms)
+    assert filter_interpolating([res.coeffs], res.schema, terms) == [res.coeffs]
+    assert check_deterministic(res, terms[:-1])  # only the last term can refute it
+    assert not check_deterministic(res, changed)
+    assert filter_interpolating([res.coeffs], res.schema, changed) == []
+
+
+# ---------------------------------------------------------------------------
+# the integer check agrees with a plain Fraction evaluator
+
+
+# (class, options, m): sequence and series schemas, linear and of degree up to 3
+SCHEMAS = [
+    ("rat", {}, 2),
+    ("prec", {"max_shift": 2}, 4),
+    ("rec", {"max_shift": 1, "max_power": 2}, 5),
+    ("pade", {}, 2),
+    ("holo", {"max_derivative": 2}, 4),
+    ("alg", {"max_power": 3}, 4),
+    ("ade", {"max_derivative": 1, "max_power": 2}, 5),
+    ("fe", {"max_level": 2, "max_power": 2}, 5),
+]
+
+
+def _large_primes(count, start=10**12):
+    out, n = [], start
+    while len(out) < count:
+        n += 1
+        if is_probable_prime(n):
+            out.append(n)
+    return out
+
+
+LARGE_PRIMES = _large_primes(12)
+SMALL = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
+
+
+def _interpolate(values):
+    """Coefficients of the polynomial of degree < len(values) through (i, values[i])."""
+    out = []
+    for i, v in enumerate(values):
+        basis, denom = [F(1)], F(1)
+        for k in range(len(values)):
+            if k != i:
+                basis = [a - k * b for a, b in zip([F(0)] + basis, basis + [F(0)])]
+                denom *= i - k
+        out = [a + v / denom * b for a, b in zip(out + [F(0)] * (len(basis) - len(out)), basis)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+@st.composite
+def _candidates(draw):
+    """A schema, terms, and a column that satisfies its first j conditions.
+
+    The terms have small denominators, or large pairwise coprime ones.
+    The coefficient of the constant monomial is chosen to cancel the
+    first j conditions of the rest of the column, so failures land at
+    any index, and j equal to the number of conditions gives a pass.
+    """
+    klass, kw, m = draw(st.sampled_from(SCHEMAS))
+    schema = build_schema(klass, Options(**kw), m)
+    n = draw(st.integers(schema.loss + 2, 9))
+    if draw(st.booleans()):
+        dens = draw(st.permutations(LARGE_PRIMES))[:n]
+        terms = [F(draw(st.integers(-10**6, 10**6)), d) for d in dens]
+    else:
+        terms = draw(st.lists(SMALL, min_size=n, max_size=n))
+    col = [[]] + [draw(st.lists(SMALL, max_size=3)) for _ in range(m - 1)]
+    col[-1].append(F(draw(st.integers(1, 5))))  # keep the column nonzero
+    rest = condition_values(col, schema, terms)
+    j = draw(st.integers(0, len(rest)))
+    if schema.series:
+        col[0] = [-v for v in rest[:j]]
+        while col[0] and not col[0][-1]:
+            col[0].pop()
+    else:
+        col[0] = _interpolate([-v for v in rest[:j]])
+    return schema, terms, col
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(_candidates())
+def test_integer_check_matches_fraction_reference(case):
+    schema, terms, col = case
+    assert schema.monomials[0].parts == ()
+    want = first_failure_reference(col, schema, terms)
+    assert _exact_failure(col, schema, _exact_images(terms, schema)) == want

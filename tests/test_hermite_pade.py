@@ -11,8 +11,9 @@ from oracles import (
     flatten_solution,
     nullspace_dim,
     matrix_rank,
+    order_basis_instances,
 )
-from seqguess.errors import BadModulus
+from seqguess.errors import BadModulus, NoSolution
 from seqguess.hermite_pade import sigma_basis
 from seqguess.modarith import ModPrime
 
@@ -200,3 +201,25 @@ def test_overflow_edge_largest_prime_and_residues(series):
     points = None if series else [p - 1 - j for j in range(sigma)]
     res = sigma_basis(streams, bounds, sigma, fp, points=points)
     _assert_matches_oracle(res, streams, bounds, sigma, points, p)
+
+
+@pytest.mark.parametrize("series", [False, True], ids=["sequence", "series"])
+def test_need_solution_stops_exactly_when_no_column_fits(series):
+    # the early stop raises on precisely the instances whose full basis has
+    # no solution column, and changes nothing on the others
+    outcomes = set()
+    for bounds, sigma, streams, points in order_basis_instances(P):
+        if (points is None) != series:
+            continue
+        full = sigma_basis(streams, bounds, sigma, FP, points=points)
+        try:
+            early = sigma_basis(streams, bounds, sigma, FP, points=points, need_solution=True)
+        except NoSolution:
+            assert not full.solution_indices()
+            outcomes.add("stopped")
+            continue
+        assert full.solution_indices()
+        assert np.array_equal(early.coeffs, full.coeffs)
+        assert (early.degrees.tolist(), early.defects) == (full.degrees.tolist(), full.defects)
+        outcomes.add("solved")
+    assert outcomes == {"stopped", "solved"}

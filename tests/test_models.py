@@ -1,11 +1,13 @@
 """Monomial enumeration, schema construction, image streams."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from seqguess.errors import BadModulus, SchemaExhausted
+from seqguess import models
 from seqguess.guess import Options
 from seqguess.modarith import ModPrime, reduce_scalar
 from seqguess.models import (
@@ -19,7 +21,7 @@ from seqguess.models import (
     partitions_lex,
     schema_stream,
 )
-from seqguess.rings import QQ, QQ_T, QPARAM, RatPoly
+from seqguess.rings import QQ, QQ_T, QPARAM, ZZ, RatPoly
 
 from oracles import naive_images
 
@@ -83,6 +85,19 @@ def test_build_schema_validation():
         build_schema("rat", Options(), 3)  # rat has exactly two monomials
     with pytest.raises(ValueError):
         build_schema("nope", Options(), 2)
+
+
+@pytest.mark.parametrize("first, second", [(True, 1), (1, True)])
+def test_schema_cache_keys_homogeneous_by_type(first, second):
+    # True == 1 and hash(True) == hash(1), but "no constant monomial" and
+    # "degree exactly one" are different filters, whichever is cached first
+    models._first_monomials.cache_clear()
+    opts = Options(max_shift=1, max_power=2)
+    built = [build_schema("rec", replace(opts, homogeneous=h), 2) for h in (first, second)]
+    parts = {h is True: [mo.parts for mo in s.monomials] for h, s in zip((first, second), built)}
+    assert parts == {True: [(1,), (1, 1)], False: [(1,), (2,)]}
+    assert build_schema("rec", replace(opts, homogeneous=first), 2) == built[0]
+    assert models._first_monomials.cache_info().hits == 1
 
 
 def test_points_kind():
@@ -241,6 +256,7 @@ def _builder_fields(q: bool, rng):
         terms = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(8)]
         yield QQ, None, terms, F, None
         yield fp, None, terms, lambda t: reduce_scalar(t, fp), None
+        yield ZZ, None, [rng.randint(-99, 99) for _ in range(8)], int, None
 
 
 @pytest.mark.parametrize("klass,opts,q", BUILDER_CASES)
