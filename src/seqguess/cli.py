@@ -365,12 +365,16 @@ def main(argv=None) -> int:
         spec = _load_input(args)
         opts = _options_from_args(args)
         classes = [c.strip() for c in args.klass.split(",") if c.strip()]
+        if not classes:
+            raise UsageError(f"--class needs at least one of {','.join(CLASS_NAMES)}")
         for c in classes:
             if c not in CLASS_NAMES:
                 raise UsageError(f"unknown class {c!r}; choose from {','.join(CLASS_NAMES)}")
         operators = None
         if args.operators is not None:
             operators = tuple(o.strip() for o in args.operators.split(",") if o.strip())
+            if not operators:
+                raise UsageError("--operators needs at least one of sum,product")
             for o in operators:
                 if o not in ("sum", "product"):
                     raise UsageError(f"unknown operator {o!r}; choose from sum,product")

@@ -585,6 +585,8 @@ def guess(terms, guessers=("rat",), operators=("sum", "product"), opts: Options 
         if op not in ("sum", "product"):
             raise UsageError(f"unknown operator {op!r}")
     resolved = [_resolve_guesser(g) for g in guessers]
+    if not resolved:
+        raise UsageError("guess needs at least one base guesser")
     try:
         terms = [Fraction(t) for t in terms]
     except TypeError:

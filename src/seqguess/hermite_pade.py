@@ -10,11 +10,24 @@ order conditions against the streams:
     in sum_l p_l(x) * stream_l(x) all vanish.
 
 The iteration keeps one column per row index, eliminates the order
-condition j from all columns at step j using the column with the
-largest defect as pivot, and multiplies the pivot by (x - x_j)
-(respectively by x).  Defects are recomputed from the actual nonzero
-coefficients after every update, so reported values never rely on the
-no-cancellation argument being airtight mod p.
+condition j from all columns at step j using as pivot the last live
+column of largest defect, and multiplies the pivot by (x - x_j)
+(respectively by x).  A column's defect is min over its nonzero
+components l of bounds[l] - deg (the margin), its critical index the
+smallest l attaining it.
+
+Invariant: column k keeps critical index k, and only the pivot's defect
+changes, by -1, so defects are tracked, not recomputed, and the basis
+leaves in weak Popov form.  Induction on the steps: column k starts as
+e_k.  Multiplying the pivot by x or (x - x_j) raises every degree by
+one.  Adding c * pivot to a column of smaller defect keeps its leading
+terms, as the pivot's margin exceeds that defect everywhere.  Adding it
+to a column k of equal defect keeps k's critical entry: k < pivot (the
+pivot is the last candidate), so k's critical index is lower than the
+pivot's, and in every component up to k the pivot's margin is above the
+defect, its own critical index being the first component to reach it.
+This is exact mod p; sigma_normalize checks the defects against the
+degrees.
 
 All columns share one int64 array M of shape (m, sigma + m * cap).  Row
 k holds column k's sigma residuals (the order conditions applied to the
@@ -54,9 +67,6 @@ class SigmaBasisResult:
         """Dense coefficient list of one component, trailing zeros trimmed."""
         return self.coeffs[col, comp, : self.degrees[col][comp] + 1].tolist()
 
-    def solution_indices(self) -> list[int]:
-        return [k for k, d in enumerate(self.defects) if d >= 1]
-
 
 def sigma_basis(
     streams: list,
@@ -64,7 +74,6 @@ def sigma_basis(
     sigma: int,
     fp: ModPrime,
     points: list[int] | None = None,
-    tie_break: str = "low",
     need_solution: bool = False,
 ) -> SigmaBasisResult:
     """Order basis of the first `sigma` conditions.
@@ -84,8 +93,6 @@ def sigma_basis(
         raise ValueError("one degree bound per stream required")
     if any(len(s) != sigma for s in streams):
         raise ValueError("each stream must provide exactly sigma residues")
-    if tie_break not in ("low", "high"):
-        raise ValueError(f"unknown tie_break {tie_break!r}")
     p = fp.p
     cap = sigma + 1  # a degree grows by at most one per step
     # column-major, so that every window M[:, a:b] is one contiguous block
@@ -103,10 +110,6 @@ def sigma_basis(
         ext = np.zeros(M.shape[1], dtype=np.int64)  # points, then 0 under every coefficient
         ext[:sigma] = pts
 
-    # score of the x^d coefficient of component l: d + 1 - bounds[l] + top > 0,
-    # so the largest score over a column's nonzero slots is top + 1 - defect
-    top = max(bounds, default=0)
-    score = (np.arange(top + 1, top + cap + 1)[:, None] - np.array(bounds, dtype=np.int64)).ravel()
     defects = list(bounds)
     maxdeg = [0] * m  # per column, an upper bound on its degree
     hi = 0  # max(maxdeg)
@@ -116,9 +119,7 @@ def sigma_basis(
         live = [k for k in range(m) if rj[k]]
         if not live:
             continue
-        best = max(defects[k] for k in live)
-        candidates = [k for k in live if defects[k] == best]
-        piv = candidates[0] if tie_break == "low" else candidates[-1]
+        piv = max(live, key=lambda k: (defects[k], k))  # the last of largest defect
         end = sigma + (hi + 2) * m
         V = M[:, j:end]
         if len(live) > 1:
@@ -143,16 +144,10 @@ def sigma_basis(
             R[cut:cut + m] = 0
         maxdeg[piv] += 1
         hi = max(hi, maxdeg[piv])
-        if len(live) > 1:
-            nz = M[:, sigma:end] != 0
-            defects = [top + 1 - s for s in (nz * score[:end - sigma]).max(axis=1).tolist()]
-        else:
-            defects[piv] -= 1  # every nonzero component gained one degree
+        defects[piv] -= 1  # the only defect a step changes (see the invariant)
         if need_solution and max(defects) <= 0:
             raise NoSolution(f"empty solution space mod {p} after {j + 1} of {sigma} conditions")
 
-    if max(defects, default=0) > top:  # a zero column scores 0: defect top + 1
-        raise ValueError("zero column in order basis")
     block = M.T[sigma:sigma + (hi + 1) * m].reshape(hi + 1, m, m)  # [d, l, k], a view of M
     lengths = ((block != 0) * np.arange(1, hi + 2)[:, None, None]).max(axis=0).T
     coeffs = block[: lengths.max()].transpose(2, 1, 0)

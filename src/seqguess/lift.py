@@ -11,8 +11,9 @@ data by solving modular images and reconstructing:
                 random evaluation points for t; per-point solutions are
                 interpolated and lifted to ratios of polynomials in t.
 
-Unlucky moduli are detected by comparing the shape fingerprints of the
-normalized modular bases (see sigma_normalize): a mismatch marks either
+Each image yields a shape fingerprint, read off its order basis, and
+its solution columns in normal form (see sigma_normalize).  Unlucky
+moduli are detected by comparing fingerprints: a mismatch marks either
 the new image or everything accumulated so far as bad.  Once bad images
 outnumber the good ones by more than two, the prime level drops its
 state and adopts the current image, while the point level gives up on
@@ -22,8 +23,8 @@ reproduces it exactly.
 
 Most solves of a search end in NoSolution, so that outcome is kept cheap:
 on the first image of a level the order basis stops as soon as its
-defects, already the normal-form ones (the iteration keeps the basis
-reduced), leave no column that can fit, and the rational domain draws
+defects, already the normal-form ones (the basis stays in weak Popov
+form), leave no column that can fit, and the rational domain draws
 its primes from a shared list per (seed, bits) instead of re-sampling
 the same sequence per solve.
 """
@@ -148,7 +149,7 @@ def _emit(state: LiftState, opts: LiftOptions, *event):
 
 
 def _solve_image(builder: ProblemBuilder, bounds: list[int], fp: ModPrime, t_point, first: bool):
-    """One base solve: normalized basis -> (record, flat padded residues).
+    """One base solve: order basis -> (record, flat padded solution columns).
 
     Solution-column components are padded to their degree bounds so the
     flat layout depends only on the record, never on accidental degree
@@ -159,16 +160,15 @@ def _solve_image(builder: ProblemBuilder, bounds: list[int], fp: ModPrime, t_poi
     """
     prob = builder(fp, t_point)
     basis = sigma_basis(prob.streams, bounds, prob.sigma, fp, points=prob.points, need_solution=first)
-    norm = sigma_normalize(basis)
+    record, columns = sigma_normalize(basis)
     flat: list[int] = []
-    for k in norm.solution_indices():
-        for l, b in enumerate(bounds):
-            comp = norm.columns[k][l]
+    for col in columns:
+        for comp, b in zip(col, bounds):
             if len(comp) > b:
                 raise CheckFailed("solution column exceeds its degree bound")
             flat.extend(comp)
             flat.extend([0] * (b - len(comp)))
-    return norm.record(), flat
+    return record, flat
 
 
 def _inner_solve(builder, bounds, fp, opts, rng, outer_state):

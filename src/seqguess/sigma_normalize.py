@@ -2,14 +2,22 @@
 
 An order basis fixes the solution module but not its presentation: any
 column may absorb multiples of columns with equal or larger defect
-without changing what is spanned.  The normal form computed here is the
-unique representative with
+without changing what is spanned.  The normal form is the shifted Popov
+form (Beckermann-Labahn-Villard, "Normal forms for general polynomial
+matrices", JSC 2006): the unique representative with
 
   * columns sorted by defect (descending), then critical index
     (ascending),
   * each column monic in its critical component,
   * no column containing the leading critical-component term of any
     other column (pairwise reduced).
+
+sigma_basis leaves its basis in weak Popov form: the critical indices
+are distinct.  Defects, critical indices and critical degrees are then
+already those of the normal form, so the record is read off the basis.
+Only the solution columns (defect >= 1) are reduced, since they are all
+lift reads: a column of defect <= 0 has critical degree at least its
+bound and so can never strike a solution column.
 
 Because the form is unique, its shape summary (`ReductionRecord`) is a
 fingerprint of the solution module itself.  Images of the same exact
@@ -22,28 +30,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CheckFailed
 from .hermite_pade import SigmaBasisResult
 from .modarith import ModPrime
 
 _REDUCE_CAP = 10**6  # safety valve; the reduction provably terminates
-
-
-def vector_defect(vec: list[list[int]], bounds: list[int]) -> int:
-    """min over nonzero components of bounds[i] - deg(vec[i])."""
-    vals = [b - (len(c) - 1) for c, b in zip(vec, bounds) if c]
-    if not vals:
-        raise ValueError("defect of the zero vector is undefined")
-    return min(vals)
-
-
-def critical_index(vec: list[list[int]], bounds: list[int]) -> int:
-    """Smallest component index where the defect is attained (0-based)."""
-    d = vector_defect(vec, bounds)
-    for i, (c, b) in enumerate(zip(vec, bounds)):
-        if c and b - (len(c) - 1) == d:
-            return i
-    raise AssertionError("unreachable")
 
 
 @dataclass(frozen=True)
@@ -92,24 +85,6 @@ def compare_reductions(new: ReductionRecord, old: ReductionRecord) -> str:
     return "better" if new_wins else "worse"
 
 
-@dataclass
-class NormalizedBasis:
-    """Normal form of an order basis; columns as coefficient-list vectors."""
-
-    columns: list[list[list[int]]]
-    defects: list[int]
-    crits: list[int]
-    bounds: list[int]
-    fp: ModPrime
-
-    def record(self) -> ReductionRecord:
-        lead = tuple(self.bounds[c] - d for d, c in zip(self.defects, self.crits))
-        return ReductionRecord(tuple(self.defects), tuple(self.crits), lead)
-
-    def solution_indices(self) -> list[int]:
-        return [k for k, d in enumerate(self.defects) if d >= 1]
-
-
 def _strike(q: list[list[int]], s: list[list[int]], i: int, fp: ModPrime) -> None:
     """q -= alpha * x^shift * s, killing q's leading term in component i."""
     shift = len(q[i]) - len(s[i])
@@ -129,27 +104,37 @@ def _strike(q: list[list[int]], s: list[list[int]], i: int, fp: ModPrime) -> Non
             qc.pop()
 
 
-def sigma_normalize(result: SigmaBasisResult) -> NormalizedBasis:
-    """Reduce an order basis to its unique normal form.
+def sigma_normalize(basis: SigmaBasisResult) -> tuple[ReductionRecord, list[list[list[int]]]]:
+    """Reduction record of an order basis and its normalized solution columns.
 
-    Repeatedly strikes, among all still-possible reductions of any
-    column against any other column's critical leading term, the one
-    acting on the component with the smallest remaining degree margin;
-    that choice makes progress monotone.  Sorting and scaling at the
-    end complete the canonical form.
+    The record covers every column.  The solution columns come in record
+    order as coefficient-list vectors.  Among them, the loop repeatedly
+    strikes, of all still-possible reductions of any column against any
+    other column's critical leading term, the one acting on the component
+    with the smallest remaining degree margin; that choice makes progress
+    monotone.  No strike changes a defect or critical index.
     """
-    fp, bounds = result.fp, result.bounds
-    m = result.m
-    cols = [[result.poly(k, i) for i in range(m)] for k in range(m)]
+    fp, bounds, defects, deg = basis.fp, basis.bounds, basis.defects, basis.degrees
+    margins = np.where(deg >= 0, np.array(bounds) - deg, np.iinfo(np.int64).max)
+    if margins.min(axis=1).tolist() != list(defects):
+        raise CheckFailed("order-basis defects disagree with its degrees")
+    crits = margins.argmin(axis=1).tolist()
+    if len(set(crits)) != len(crits):
+        raise CheckFailed("order basis is not in weak Popov form")
+    order = sorted(range(basis.m), key=lambda k: (-defects[k], crits[k]))
+    record = ReductionRecord(tuple(defects[k] for k in order), tuple(crits[k] for k in order),
+                             tuple(bounds[crits[k]] - defects[k] for k in order))
+    sol = [k for k in order if defects[k] >= 1]
+    cols = [[basis.poly(k, i) for i in range(basis.m)] for k in sol]
+    crit = [crits[k] for k in sol]
 
     for _round in range(_REDUCE_CAP):
-        crits = [critical_index(v, bounds) for v in cols]
         best = None  # (margin, component, target, reducer)
         for k, q in enumerate(cols):
             for j, s in enumerate(cols):
                 if j == k:
                     continue
-                i = crits[j]
+                i = crit[j]
                 if q[i] and len(q[i]) >= len(s[i]):
                     margin = bounds[i] - (len(q[i]) - 1)
                     cand = (margin, i, k, j)
@@ -159,20 +144,15 @@ def sigma_normalize(result: SigmaBasisResult) -> NormalizedBasis:
             break
         _, i, k, j = best
         _strike(cols[k], cols[j], i, fp)
-        if not any(cols[k]):
-            raise CheckFailed("order-basis column vanished during normalization")
     else:
         raise CheckFailed("normalization did not terminate")
 
-    defects = [vector_defect(v, bounds) for v in cols]
-    crits = [critical_index(v, bounds) for v in cols]
-    order = sorted(range(m), key=lambda k: (-defects[k], crits[k]))
-    cols = [cols[k] for k in order]
-    defects = [defects[k] for k in order]
-    crits = [crits[k] for k in order]
-    for v, c in zip(cols, crits):
+    for v, k in zip(cols, sol):
+        c = crits[k]
+        if len(v[c]) != bounds[c] - defects[k] + 1:
+            raise CheckFailed("normalization moved a critical leading term")
         inv = fp.inv(v[c][-1])
         if inv != 1:
-            for comp in range(m):
+            for comp in range(basis.m):
                 v[comp] = [x * inv % fp.p for x in v[comp]]
-    return NormalizedBasis(columns=cols, defects=defects, crits=crits, bounds=list(bounds), fp=fp)
+    return record, cols

@@ -68,6 +68,93 @@ def apply_matrix(rows, vec, p):
     return [sum(a * b for a, b in zip(row, vec)) % p for row in rows]
 
 
+def vector_defect(vec, bounds):
+    """min over nonzero components of bounds[i] - deg(vec[i])."""
+    vals = [b - (len(c) - 1) for c, b in zip(vec, bounds) if c]
+    if not vals:
+        raise ValueError("defect of the zero vector is undefined")
+    return min(vals)
+
+
+def critical_index(vec, bounds):
+    """Smallest component index where the defect is attained (0-based)."""
+    d = vector_defect(vec, bounds)
+    return next(i for i, (c, b) in enumerate(zip(vec, bounds)) if c and b - (len(c) - 1) == d)
+
+
+def _solve_affine(rows, free, fixed, p):
+    """Solve rows[:, free] . x = -rows[:, fixed] mod p.
+
+    Returns ({column: value} with the free unknowns not pivoted on set to
+    0, kernel dimension), or (None, 0) when the system is inconsistent.
+    """
+    aug = [[r[c] % p for c in free] + [-r[fixed] % p] for r in rows]
+    n, rank, pivots = len(free), 0, []
+    for col in range(n):
+        piv = next((i for i in range(rank, len(aug)) if aug[i][col]), None)
+        if piv is None:
+            continue
+        aug[rank], aug[piv] = aug[piv], aug[rank]
+        inv = pow(aug[rank][col], -1, p)
+        aug[rank] = [v * inv % p for v in aug[rank]]
+        for i in range(len(aug)):
+            if i != rank and aug[i][col]:
+                c = aug[i][col]
+                aug[i] = [(a - c * b) % p for a, b in zip(aug[i], aug[rank])]
+        pivots.append(col)
+        rank += 1
+    if any(r[n] for r in aug[rank:]):
+        return None, 0
+    return {free[col]: aug[i][n] for i, col in enumerate(pivots)}, n - rank
+
+
+def popov_solution_columns(streams, bounds, sigma, p, points=None):
+    """Normalized solution columns from condition_matrix alone: [(d, c, column)].
+
+    The unknown x^e of component l ranks by its margin bounds[l] - e, a
+    smaller margin ranking higher and, at equal margins, a smaller l.
+    Component c has a pivot of defect d = bounds[c] - e for the smallest
+    e such that some in-bound solution has its highest-ranking nonzero
+    unknown at (c, e).  The column of pivot (d, c) satisfies every
+    condition, is monic of degree bounds[c] - d in component c, has
+    degree <= bounds[l] - d in every component l (strictly less for
+    l < c), and in the component of every other pivot a degree below that
+    pivot's.  Each such solve must have exactly one solution.  Sorted by
+    (-d, c), columns as trimmed coefficient lists.
+    """
+    rows = condition_matrix(streams, bounds, sigma, p, points)
+    offset = [sum(bounds[:l]) for l in range(len(bounds))]
+    unknowns = [(l, e) for l, b in enumerate(bounds) for e in range(b)]
+
+    def below(l, e, c, lead):
+        ml, mc = bounds[l] - e, bounds[c] - lead
+        return ml > mc or (ml == mc and l > c)
+
+    pivots = []
+    for c, b in enumerate(bounds):
+        for e in range(b):
+            free = [offset[l] + f for l, f in unknowns if below(l, f, c, e)]
+            if _solve_affine(rows, free, offset[c] + e, p)[0] is not None:
+                pivots.append((b - e, c))
+                break
+    out = []
+    for d, c in sorted(pivots, key=lambda t: (-t[0], t[1])):
+        lead = bounds[c] - d
+        free = [offset[l] + f for l, f in unknowns
+                if below(l, f, c, lead) and all(f < bounds[c2] - d2 for d2, c2 in pivots if c2 == l)]
+        sol, nullity = _solve_affine(rows, free, offset[c] + lead, p)
+        assert sol is not None and nullity == 0, "the normalized column must exist and be unique"
+        sol[offset[c] + lead] = 1
+        col = []
+        for l, b in enumerate(bounds):
+            coeffs = [sol.get(offset[l] + f, 0) for f in range(b)]
+            while coeffs and coeffs[-1] == 0:
+                coeffs.pop()
+            col.append(coeffs)
+        out.append((d, c, col))
+    return out
+
+
 def gen_prec_terms(order, deg, count, seed):
     """Exact terms of a random monic-leading linear recurrence.
 

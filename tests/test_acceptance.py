@@ -13,6 +13,8 @@ import random
 import time
 from fractions import Fraction as F
 
+import numpy as np
+
 from conftest import ACCEPTANCE
 from oracles import (
     apply_matrix,
@@ -22,6 +24,7 @@ from oracles import (
     matrix_rank,
     nullspace_dim,
     order_basis_instances,
+    popov_solution_columns,
 )
 from seqguess.errors import BadModulus
 from seqguess.guess import (
@@ -36,7 +39,7 @@ from seqguess.guess import (
     guess_rat,
     guess_rec,
 )
-from seqguess.hermite_pade import sigma_basis
+from seqguess.hermite_pade import SigmaBasisResult, sigma_basis
 from seqguess.lift import LiftOptions, do_solve
 from seqguess.modarith import ModPrime, reduce_scalar, sample_prime
 from seqguess.models import OrderProblem
@@ -201,7 +204,7 @@ def test_order_basis_oracle_equivalence():
             dim = nullspace_dim(mat, sum(bounds), P)
             assert sum(max(d, 0) for d in res.defects) == dim
             vecs = []
-            for k in res.solution_indices():
+            for k in range(res.m):  # range(defect) is empty off the solution columns
                 for s in range(res.defects[k]):
                     shifted = [([0] * s + res.poly(k, c)) if res.poly(k, c) else []
                                for c in range(m)]
@@ -212,7 +215,8 @@ def test_order_basis_oracle_equivalence():
 
 
 # ---------------------------------------------------------------------------
-# 6. normalized basis is unique: reversed pivot tie-breaking, bit-identical
+# 6. normalized basis is unique: solution columns equal a dense oracle's,
+#    and a permuted, rescaled basis gives the same record and columns
 
 
 def test_normalization_uniqueness():
@@ -220,6 +224,7 @@ def test_normalization_uniqueness():
         P = 10007
         fp = ModPrime(P)
         rng = random.Random(600)
+        mangle = random.Random(601)
         for _ in range(200):
             m = rng.randint(2, 3)
             bounds = [rng.randint(1, 4) for _ in range(m)]
@@ -227,11 +232,18 @@ def test_normalization_uniqueness():
             streams = [[rng.randrange(P) for _ in range(sigma)] for _ in range(m)]
             points = None if rng.random() < 0.5 else rng.sample(range(P), sigma)
 
-            lo = sigma_normalize(sigma_basis(streams, bounds, sigma, fp, points=points))
-            hi = sigma_normalize(sigma_basis(streams, bounds, sigma, fp, points=points,
-                                             tie_break="high"))
-            assert lo.columns == hi.columns
-            assert lo.defects == hi.defects and lo.crits == hi.crits
+            basis = sigma_basis(streams, bounds, sigma, fp, points=points)
+            record, cols = sigma_normalize(basis)
+            oracle = popov_solution_columns(streams, bounds, sigma, P, points)
+            assert [(d, c) for d, c in zip(record.defects, record.crits) if d >= 1] == [(d, c) for d, c, _ in oracle]
+            assert cols == [col for *_, col in oracle]
+
+            order = list(range(m))
+            mangle.shuffle(order)
+            scale = np.array([mangle.randrange(1, P) for _ in order], dtype=np.int64)
+            coeffs = basis.coeffs[order] * scale[:, None, None] % P
+            shuffled = SigmaBasisResult(coeffs, basis.degrees[order], [basis.defects[k] for k in order], bounds, fp)
+            assert sigma_normalize(shuffled) == (record, cols)
 
 
 # ---------------------------------------------------------------------------

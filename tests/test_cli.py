@@ -123,6 +123,13 @@ def test_main_unknown_class(capsys):
     assert "unknown class 'nope'" in capsys.readouterr().err
 
 
+def test_main_empty_class_or_operator_list_is_usage_error(capsys):
+    for argv in (["--class", ",", "0", "1", "4", "9"], ["--class", "", "0", "1", "4", "9"],
+                 ["--operators", ",", "1", "2", "6", "24", "120"]):
+        assert main(argv) == 2, argv
+        assert "needs at least one" in capsys.readouterr().err
+
+
 def test_main_bad_names_arity(capsys):
     assert main(["--names", "f,n", "1", "2"]) == 2
     assert "--names" in capsys.readouterr().err

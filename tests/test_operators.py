@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from seqguess.errors import UsageError
 from seqguess.guess import OperatorExpr, guess, guess_rat
 
 
@@ -93,3 +94,9 @@ def test_q_terms_rejected():
 
     with pytest.raises(ValueError):
         guess([RatPoly.const(1), RatPoly.const(2), RatPoly.const(4)])
+
+
+def test_empty_guesser_list_is_usage_error():
+    # with no base guesser the search could only walk the whole operator tree
+    with pytest.raises(UsageError, match="at least one base guesser"):
+        guess(list(range(1, 31)), guessers=())

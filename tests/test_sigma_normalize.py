@@ -5,16 +5,19 @@ import random
 import numpy as np
 import pytest
 
-from oracles import apply_matrix, condition_matrix, flatten_solution, nullspace_dim, order_basis_instances
-from seqguess.hermite_pade import SigmaBasisResult, sigma_basis
-from seqguess.modarith import ModPrime
-from seqguess.sigma_normalize import (
-    ReductionRecord,
-    compare_reductions,
+from oracles import (
+    apply_matrix,
+    condition_matrix,
     critical_index,
-    sigma_normalize,
+    flatten_solution,
+    nullspace_dim,
+    order_basis_instances,
+    popov_solution_columns,
     vector_defect,
 )
+from seqguess.hermite_pade import SigmaBasisResult, sigma_basis
+from seqguess.modarith import ModPrime
+from seqguess.sigma_normalize import ReductionRecord, compare_reductions, sigma_normalize
 
 P = 10007
 FP = ModPrime(P)
@@ -69,37 +72,45 @@ def _normalize_random(rng, series):
     return basis, streams, bounds, sigma, points
 
 
-def _rebuild(normalized):
-    """Repackage a normal form as a raw basis result, reusing its columns."""
-    m = len(normalized.columns)
-    stride = max(max((len(c) for c in col), default=0) for col in normalized.columns) + 2
+def _columns(basis):
+    return [[basis.poly(k, l) for l in range(basis.m)] for k in range(basis.m)]
+
+
+def _as_basis(cols, bounds):
+    """Pack coefficient-list columns as a raw order-basis result."""
+    m = len(cols)
+    stride = max(len(c) for col in cols for c in col) + 2
     coeffs = np.zeros((m, m, stride), dtype=np.int64)
-    degs = []
-    for k, col in enumerate(normalized.columns):
+    for k, col in enumerate(cols):
         for comp, c in enumerate(col):
             coeffs[k, comp, : len(c)] = c
-        degs.append([len(c) - 1 for c in col])
-    defects = [
-        min(b - d for b, d in zip(normalized.bounds, row) if d >= 0) for row in degs
-    ]
-    return SigmaBasisResult(coeffs, np.array(degs, dtype=np.int64), defects, list(normalized.bounds), FP)
+    degs = np.array([[len(c) - 1 for c in col] for col in cols], dtype=np.int64)
+    return SigmaBasisResult(coeffs, degs, [vector_defect(col, bounds) for col in cols], list(bounds), FP)
+
+
+def _solution_pivots(record):
+    return [(d, c) for d, c in zip(record.defects, record.crits) if d >= 1]
 
 
 def test_normalize_is_idempotent():
+    # the raw basis with its solution columns replaced by their normal form
+    # normalizes to itself
     rng = random.Random(31)
     for _ in range(40):
         basis, *_ = _normalize_random(rng, rng.random() < 0.5)
-        n1 = sigma_normalize(basis)
-        n2 = sigma_normalize(_rebuild(n1))
-        assert n1.columns == n2.columns
-        assert (n1.defects, n1.crits) == (n2.defects, n2.crits)
+        rec1, cols1 = sigma_normalize(basis)
+        normal = {c: col for (_, c), col in zip(_solution_pivots(rec1), cols1)}
+        mixed = [normal.get(critical_index(col, basis.bounds), col) for col in _columns(basis)]
+        rec2, cols2 = sigma_normalize(_as_basis(mixed, basis.bounds))
+        assert cols1 == cols2
+        assert rec1 == rec2
 
 
 def test_normalize_invariant_under_scaling_and_permutation():
     rng = random.Random(32)
     for _ in range(40):
         basis, *_ = _normalize_random(rng, rng.random() < 0.5)
-        n1 = sigma_normalize(basis)
+        rec1, cols1 = sigma_normalize(basis)
 
         order = list(range(basis.m))
         rng.shuffle(order)
@@ -113,9 +124,9 @@ def test_normalize_invariant_under_scaling_and_permutation():
             basis.bounds,
             FP,
         )
-        n2 = sigma_normalize(mangled)
-        assert n1.columns == n2.columns
-        assert (n1.defects, n1.crits) == (n2.defects, n2.crits)
+        rec2, cols2 = sigma_normalize(mangled)
+        assert cols1 == cols2
+        assert rec1 == rec2
 
 
 def test_normalized_columns_still_solve_and_are_monic():
@@ -123,12 +134,14 @@ def test_normalized_columns_still_solve_and_are_monic():
     for _ in range(40):
         series = rng.random() < 0.5
         basis, streams, bounds, sigma, points = _normalize_random(rng, series)
-        norm = sigma_normalize(basis)
+        record, cols = sigma_normalize(basis)
         mat = condition_matrix(streams, bounds, sigma, P, points)
-        assert norm.defects == sorted(norm.defects, reverse=True)
-        for col, d, crit in zip(norm.columns, norm.defects, norm.crits):
-            if d >= 1:
-                assert apply_matrix(mat, flatten_solution(col, bounds), P) == [0] * sigma
+        assert list(record.defects) == sorted(record.defects, reverse=True)
+        assert sorted(record.crits) == list(range(len(bounds)))
+        pivots = _solution_pivots(record)
+        assert len(cols) == len(pivots)
+        for col, (d, crit) in zip(cols, pivots):
+            assert apply_matrix(mat, flatten_solution(col, bounds), P) == [0] * sigma
             assert col[crit][-1] == 1  # monic in the critical component
             assert vector_defect(col, list(bounds)) == d
             assert critical_index(col, list(bounds)) == crit
@@ -137,17 +150,17 @@ def test_normalized_columns_still_solve_and_are_monic():
 def test_record_fields():
     rng = random.Random(34)
     basis, *_ = _normalize_random(rng, False)
-    norm = sigma_normalize(basis)
-    rec = norm.record()
-    assert rec.defects == tuple(norm.defects)
-    assert rec.crits == tuple(norm.crits)
-    assert rec.lead_exps == tuple(
-        norm.bounds[c] - d for d, c in zip(norm.defects, norm.crits)
+    record, cols = sigma_normalize(basis)
+    raw = sorted((-vector_defect(col, basis.bounds), critical_index(col, basis.bounds)) for col in _columns(basis))
+    assert record.defects == tuple(-d for d, _ in raw)
+    assert record.crits == tuple(c for _, c in raw)
+    assert record.lead_exps == tuple(
+        basis.bounds[c] - d for d, c in zip(record.defects, record.crits)
     )
-    assert norm.solution_indices() == [k for k, d in enumerate(norm.defects) if d >= 1]
+    assert len(cols) == sum(1 for d in record.defects if d >= 1)
 
 
-def test_tie_break_direction_does_not_change_normal_form():
+def test_solution_columns_equal_dense_popov_oracle():
     rng = random.Random(35)
     for _ in range(40):
         series = rng.random() < 0.5
@@ -156,10 +169,10 @@ def test_tie_break_direction_does_not_change_normal_form():
         sigma = rng.randint(1, 8)
         streams = [[rng.randrange(P) for _ in range(sigma)] for _ in range(m)]
         points = None if series else rng.sample(range(P), sigma)
-        lo = sigma_normalize(sigma_basis(streams, bounds, sigma, FP, points=points))
-        hi = sigma_normalize(sigma_basis(streams, bounds, sigma, FP, points=points, tie_break="high"))
-        assert lo.columns == hi.columns
-        assert (lo.defects, lo.crits) == (hi.defects, hi.crits)
+        record, cols = sigma_normalize(sigma_basis(streams, bounds, sigma, FP, points=points))
+        oracle = popov_solution_columns(streams, bounds, sigma, P, points)
+        assert _solution_pivots(record) == [(d, c) for d, c, _ in oracle]
+        assert cols == [col for *_, col in oracle]
 
 
 def test_raw_defects_equal_normal_form_defects():
@@ -169,7 +182,10 @@ def test_raw_defects_equal_normal_form_defects():
     fp = ModPrime(p)
     for bounds, sigma, streams, points in order_basis_instances(p):
         raw = sigma_basis(streams, bounds, sigma, fp, points=points)
-        assert sorted(raw.defects, reverse=True) == sigma_normalize(raw).defects
-        if not raw.solution_indices():
+        defects = sigma_normalize(raw)[0].defects
+        assert tuple(sorted(raw.defects, reverse=True)) == defects
+        oracle = popov_solution_columns(streams, bounds, sigma, p, points)
+        assert [d for d in defects if d >= 1] == [d for d, _, _ in oracle]
+        if max(raw.defects) <= 0:
             mat = condition_matrix(streams, bounds, sigma, p, points)
             assert nullspace_dim(mat, sum(bounds), p) == 0
