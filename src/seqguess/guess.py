@@ -38,7 +38,7 @@ from .models import (
     build_schema,
     check_images,
 )
-from .rings import QQ, QQ_T, ZZ, RatPoly, peval, pmul_trunc, pscale, psub
+from .rings import QQ, ZZ, RatPoly, clear_denominators, peval, pmul, pmul_trunc, pscale, psub
 
 
 @dataclass
@@ -235,37 +235,85 @@ def _first_failure(coeffs, schema: Schema, streams, points, F):
     return None
 
 
-def _exact_images(terms, schema: Schema):
-    """Streams for the exact check, with the scale D of their terms.
+def _clear(values, poly: bool):
+    """(nums, den) with values[i] = nums[i] / den: ints, or Z[q] lists when poly."""
+    if poly:
+        return clear_denominators([RatPoly.coerce(v) for v in values])
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
-    Over Q and Q[[x]] the terms are scaled by D, the lcm of their
-    denominators, and the streams built over ZZ.  Every atom is linear
-    in f, so the stream of a monomial of degree k is D^k times the
-    rational one.  q mode stays over QQ_T with D = 1.
+
+def _balanced_digits(v: int, B: int) -> list:
+    """The C in Z[q] with C(2^B) = v and coefficients in (-2^(B-1), 2^(B-1)]."""
+    out, h = [], 1 << (B - 1)
+    while v:
+        out.append((v + h - 1) % (2 * h) - h + 1)
+        v = (v - out[-1]) >> B
+    return out
+
+
+def _exact_images(terms, schema: Schema):
+    """(cleared terms, D, norm, store) for _exact_failure.
+
+    The terms are scaled by D, the lcm of their denominators: an integer
+    over Q, a polynomial in Z[q] over Q(q).  Every atom is linear in f,
+    so the stream of a monomial of degree k is D^k times the rational
+    one.  Over Q(q), `norm` bounds the L1 norm of every stream entry: it
+    is the largest entry of the same build on the terms' L1 norms at
+    q = 1, since each entry is a sum of products.  The store keeps the
+    ZZ streams of each substituted q value.
     """
-    if schema.q:
-        return (*check_images(terms, schema, QQ_T), 1)
-    D = math.lcm(*(t.denominator for t in terms))
-    return (*check_images([t.numerator * (D // t.denominator) for t in terms], schema, ZZ), D)
+    cleared, D = _clear(terms, schema.q)
+    if not schema.q:
+        return cleared, D, None, {}
+    streams = check_images([sum(map(abs, t)) for t in cleared], schema, ZZ, 1)[0]
+    return cleared, D, max(1, *(max(s) for s in streams)), {}
 
 
 def _exact_failure(col, schema: Schema, exact):
-    """_first_failure of a Q or Q(q) column against _exact_images.
+    """_first_failure of a Q or Q(q) column against _exact_images, over ZZ.
 
-    Over ZZ, coefficient list l is scaled by L * D^(K - k_l), with L the
-    lcm of the column's denominators, K the largest monomial degree and
-    k_l the degree of monomial l.  Every condition is then L * D^K times
-    the rational one, so the failure value is divided back by that.
+    The column is cleared by L, the lcm of its denominators, and list l
+    is scaled by D^(K - k_l) (K the largest monomial degree, k_l that of
+    monomial l), so every condition is L * D^K times the rational one:
+    an integer over Q, a polynomial C in Z[q] over Q(q).  C is decided
+    at q = 2^B (Kronecker substitution).  With a_le the cleared
+    coefficients and w = N at integer points, 1 otherwise,
+      ||C||_1 <= norm * sum_l ||D||_1^(K - k_l) * sum_e ||a_le||_1 * w^e,
+    and 2^(B-1) above that bound makes C(2^B) zero exactly when C is and
+    gives C back from its balanced base-2^B digits.  As norm >= 1, no
+    scaled coefficient vanishes at 2^B either, so series valuations
+    hold.  B is rounded up to a power of two, so few builds serve a schema.
     """
-    streams, points, D = exact
-    if schema.q:
-        return _first_failure(col, schema, streams, points, QQ_T)
+    terms, D, norm, built = exact
     K = max(mo.degree for mo in schema.monomials)
-    L = math.lcm(*(c.denominator for cs in col for c in cs))
-    scales = [L * D ** (K - mo.degree) for mo in schema.monomials]
-    scaled = [[c.numerator * (s // c.denominator) for c in cs] for cs, s in zip(col, scales)]
-    fail = _first_failure(scaled, schema, streams, points, ZZ)
-    return None if fail is None else (fail[0], Fraction(fail[1], L * D**K))
+    flat, L = _clear([c for cs in col for c in cs], norm is not None)
+    it = iter(flat)
+    nums = [[next(it) for _ in cs] for cs in col]
+    x = None
+    if norm is not None:
+        w = len(terms) if schema.points_kind == "integer" else 1
+        d1 = sum(map(abs, D))
+        bound = norm * sum(d1 ** (K - mo.degree) * sum(sum(map(abs, a)) * w**e for e, a in enumerate(cs))
+                           for cs, mo in zip(nums, schema.monomials))
+        B = 1 << bound.bit_length().bit_length()
+        x = 1 << B
+
+    def at(v):
+        return v if x is None else peval(v, x, ZZ)
+
+    if x not in built:
+        built[x] = (*check_images([at(t) for t in terms], schema, ZZ, x), at(D))
+    streams, points, d = built[x]
+    scales = [d ** (K - mo.degree) for mo in schema.monomials]
+    fail = _first_failure([[at(a) * s for a in cs] for cs, s in zip(nums, scales)], schema, streams, points, ZZ)
+    if fail is None:
+        return None
+    if x is None:
+        return fail[0], Fraction(fail[1], L * D**K)
+    for _ in range(K):
+        L = pmul(L, D, ZZ)
+    return fail[0], RatPoly.make(_balanced_digits(fail[1], B), L)
 
 
 def filter_interpolating(columns, schema: Schema, terms, check_extra_values: bool = True, exact=None):
@@ -280,7 +328,6 @@ def filter_interpolating(columns, schema: Schema, terms, check_extra_values: boo
     """
     if not check_extra_values:
         return list(columns)
-    F = QQ_T if schema.q else QQ
     if exact is None:
         exact = _exact_images(terms, schema)
     passed, rejected = [], []
@@ -293,7 +340,7 @@ def filter_interpolating(columns, schema: Schema, terms, check_extra_values: boo
     for (ci, fi), (cj, fj) in itertools.combinations(rejected, 2):
         if fi[0] != fj[0]:
             continue
-        combo = [psub(pscale(a, fj[1], F), pscale(b, fi[1], F), F) for a, b in zip(ci, cj)]
+        combo = [psub(pscale(a, fj[1], QQ), pscale(b, fi[1], QQ), QQ) for a, b in zip(ci, cj)]
         if any(combo) and _exact_failure(combo, schema, exact) is None:
             passed.append(combo)
     return passed

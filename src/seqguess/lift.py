@@ -130,7 +130,9 @@ def _nth_field(seed: int, bits: int, i: int) -> ModPrime:
     rather than ints because ModPrime re-tests primality when built.
     """
     with _PRIME_LOCK:
-        rng, fields, seen = _PRIME_LISTS.setdefault((seed, bits), (random.Random(seed), [], set()))
+        if (seed, bits) not in _PRIME_LISTS:
+            _PRIME_LISTS[seed, bits] = (random.Random(seed), [], set())
+        rng, fields, seen = _PRIME_LISTS[seed, bits]
         while len(fields) <= i:
             p = sample_prime(bits, exclude=seen, rng=rng)
             fields.append(ModPrime(p))
@@ -255,17 +257,15 @@ def _assemble(domain: str, record: ReductionRecord, bounds: list[int], shape: tu
             num = [next(it) for _ in range(nl)]
             den = [next(it) for _ in range(dl)]
             slots.append(RatPoly.make(num, den))
-        is_zero = RatPoly.is_zero
     else:
         slots = list(values)
-        is_zero = lambda v: v == 0  # noqa: E731
     columns = []
     it = iter(slots)
     for _ in range(_positive(record)):
         col = []
         for b in bounds:
             coeffs = [next(it) for _ in range(b)]
-            while coeffs and is_zero(coeffs[-1]):
+            while coeffs and not coeffs[-1]:
                 coeffs.pop()
             col.append(coeffs)
         columns.append(col)

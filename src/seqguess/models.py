@@ -27,35 +27,37 @@ from dataclasses import dataclass
 
 from .errors import BadModulus, SchemaExhausted
 from .modarith import ModPrime, reduce_scalar
-from .rings import QPARAM, QQ_T, RatPoly, pmul_trunc
+from .rings import RatPoly, pmul_trunc
 
 # ---------------------------------------------------------------------------
 # integer partitions in the fixed enumeration order
 
 
-def _partitions_of(w: int, max_part: int | None = None):
-    """Partitions of w as weakly decreasing tuples."""
+def _partitions_of(w: int, max_part: int | None = None, max_count: int | None = None):
+    """Partitions of w as weakly decreasing tuples, within the caps."""
     if w == 0:
         yield ()
         return
     mp = w if max_part is None else min(max_part, w)
+    if max_count is not None and mp * max_count < w:
+        return
     for first in range(mp, 0, -1):
-        for rest in _partitions_of(w - first, first):
+        for rest in _partitions_of(w - first, first, None if max_count is None else max_count - 1):
             yield (first,) + rest
 
 
-def partition_stream():
-    """All partitions: ascending weight, ascending lex within a weight."""
+def partition_stream(max_part: int | None = None, max_count: int | None = None):
+    """All partitions within the caps: ascending weight, ascending lex within a weight."""
     for w in itertools.count(0):
-        yield from sorted(_partitions_of(w))
+        yield from sorted(_partitions_of(w, max_part, max_count))
 
 
-def partitions_lex(max_weight: int) -> list[tuple[int, ...]]:
+def partitions_lex(max_weight: int, max_part: int | None = None, max_count: int | None = None) -> list[tuple[int, ...]]:
     if max_weight < 0:
         raise ValueError("max_weight must be nonnegative")
     out: list[tuple[int, ...]] = []
     for w in range(max_weight + 1):
-        out.extend(sorted(_partitions_of(w)))
+        out.extend(sorted(_partitions_of(w, max_part, max_count)))
     return out
 
 
@@ -186,7 +188,7 @@ def schema_stream(klass: str, opts, q: bool = False):
                 return False
         return True
 
-    source = partition_stream() if max_weight is None else iter(partitions_lex(max_weight))
+    source = partition_stream(part_cap, count_cap) if max_weight is None else partitions_lex(max_weight, part_cap, count_cap)
     for parts in source:
         if admissible(parts):
             for j in range(mixed_max + 1):
@@ -277,9 +279,7 @@ def _to_field(term, F, q_point):
                 raise BadModulus(f"term denominator vanishes at q={q_point} mod {F.p}")
             return ev(term.num) * F.inv(den) % F.p
         return reduce_scalar(term, F)
-    if F is QQ_T:
-        return RatPoly.coerce(term)
-    return term  # QQ takes Fractions, ZZ ints scaled by the caller
+    return term  # exact fields take the terms as they are
 
 
 def _geometric(q, count: int, F) -> list:
@@ -312,28 +312,14 @@ def _atom_stream(part: int, tag: str, terms, top: int, F, qpowers) -> list:
     raise ValueError(f"unknown tag {tag!r}")
 
 
-def _field_setup(terms, schema: Schema, F, q_point):
-    """Coerce terms into F and resolve the q value, if the schema needs one."""
-    needs_q = schema.q or any(mo.tag == "qdilation" or mo.mixed for mo in schema.monomials)
-    if isinstance(F, ModPrime):
-        qval = q_point
-    elif F is QQ_T:
-        qval = QPARAM
-    else:
-        qval = None
-    if needs_q and qval is None:
-        raise ValueError("schema needs a q value but none is available in this field")
-    return [_to_field(t, F, q_point) for t in terms], qval
-
-
 def check_images(terms, schema: Schema, F, q_point=None, cut=None):
     """Every schema monomial evaluated against the terms, in the field F.
 
     F is a ModPrime (terms reduced once, all further work modular) or
-    exact, for verification: ZZ on integer terms, QQ, or QQ_T in q mode.
-    q_point specializes the q parameter when F is modular; exact q work
-    uses the parameter itself.  Returns (streams, points), points None
-    for series.
+    exact, for verification: ZZ on integer terms or QQ.  q_point is the
+    value of q in F, for every F: a residue modulo the prime, or the
+    integer q = 2^B of the exact check.  Returns (streams, points),
+    points None for series.
 
     Stream l has its monomial's natural length len(terms) - loss_l and
     the points cover all len(terms) indices, which exposes every
@@ -347,7 +333,9 @@ def check_images(terms, schema: Schema, F, q_point=None, cut=None):
     if N - schema.loss < 1:
         raise ValueError("not enough terms for this schema")
     top = N if cut is None else min(N, cut)
-    terms_f, qval = _field_setup(terms, schema, F, q_point)
+    if q_point is None and (schema.q or any(mo.tag == "qdilation" or mo.mixed for mo in schema.monomials)):
+        raise ValueError("schema needs a q value: pass q_point")
+    terms_f = [_to_field(t, F, q_point) for t in terms]
     series = schema.series
 
     qpow: dict[int, list] = {}
@@ -357,7 +345,7 @@ def check_images(terms, schema: Schema, F, q_point=None, cut=None):
         if j not in qpow:
             qj = F.one
             for _ in range(j):
-                qj = F.mul(qj, qval)
+                qj = F.mul(qj, q_point)
             qpow[j] = _geometric(qj, top, F)
         return qpow[j]
 

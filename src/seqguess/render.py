@@ -23,7 +23,7 @@ from functools import reduce
 from math import gcd, lcm
 
 from .models import Monomial, Schema
-from .rings import QQ, RatPoly, pdivmod, pgcd, pmonic, pmul
+from .rings import QQ, RatPoly, clear_denominators, pdiv_exact, pgcd
 
 RESULT_SCHEMA = "seqguess-result-v1"
 OPERATOR_SCHEMA = "seqguess-operator-v1"
@@ -47,17 +47,6 @@ def _primitive_scale(values: list[Fraction]) -> Fraction:
     return Fraction(den, num) if num else Fraction(1)
 
 
-def _div_exact(a: list, b: list) -> list:
-    q, r = pdivmod(list(a), list(b), QQ)
-    if r:
-        raise ArithmeticError("inexact polynomial division in canonical scaling")
-    return q
-
-
-def _poly_lcm(a: list, b: list) -> list:
-    return pmonic(pmul(list(a), _div_exact(b, pgcd(list(a), list(b), QQ)), QQ), QQ)
-
-
 def canonical_rows(rows: list[list], q: bool) -> list[list]:
     """Scale equation coefficients to the canonical integer form.
 
@@ -74,12 +63,10 @@ def canonical_rows(rows: list[list], q: bool) -> list[list]:
             assert all(v.denominator == 1 for v in ints)
             out.append([int(v) for v in ints])
         return out
-    dens = [list(e.den) for row in rows for e in row if not e.is_zero()]
-    big = reduce(_poly_lcm, dens, [Fraction(1)])
-    polys = [[pmul(list(e.num), _div_exact(big, list(e.den)), QQ) for e in row] for row in rows]
-    nonzero = [p for row in polys for p in row if p]
-    g = reduce(lambda a, b: pgcd(a, b, QQ), nonzero)
-    polys = [[(_div_exact(p, g) if p else []) for p in row] for row in polys]
+    nums = iter(clear_denominators([e for row in rows for e in row])[0])
+    polys = [[next(nums) for _ in row] for row in rows]
+    g = reduce(lambda a, b: pgcd(a, b, QQ), [p for row in polys for p in row if p])
+    polys = [[pdiv_exact(p, g, QQ) for p in row] for row in polys]
     s = _primitive_scale([c for row in polys for p in row for c in p if c])
     return [[[int(c * s) for c in p] for p in row] for row in polys]
 
@@ -341,13 +328,13 @@ def _den_can_vanish(c_f, result) -> bool:
     # q mode: the argument runs over q^0, q^1, ...; beyond the degree span
     # of the coefficients the top term dominates and the value is nonzero
     polys = [RatPoly.coerce(c) for c in c_f]
-    span = max(len(p.num) + len(p.den) for p in polys if not p.is_zero())
+    span = max(len(p.num) + len(p.den) for p in polys if p)
     for j in range(span + 1):
         val = RatPoly.const(0)
         for k, p in enumerate(polys):
-            if not p.is_zero():
+            if p:
                 val = val + p * RatPoly.make([0] * (j * k) + [1])
-        if val.is_zero():
+        if not val:
             return True
     return False
 
@@ -377,7 +364,7 @@ def _series_prefix_str(values, fn: str, var: str) -> str:
     terms = []
     for e, v in enumerate(values):
         if isinstance(v, RatPoly):
-            if v.is_zero():
+            if not v:
                 continue
             body = _value_str(v)
             if body.lstrip("-").isdigit():

@@ -6,6 +6,13 @@ coefficient field as an explicit argument so the same code runs over
 Z_p (int residues, `ModPrime`), over the rationals (`QQ`) and, where no
 division is needed, over the integers (`ZZ`).
 
+`RatPoly` is a rational function in q over Q, the value type of q-mode
+terms and equations; `QQ` adds, subtracts, multiplies and zero-tests
+RatPoly values too.  No field of rational functions is needed:
+`clear_denominators` takes a list of them into Z[q] over one common
+denominator, which is how both the exact check and the canonical
+rendering leave Q(q).
+
 Everything here is deliberately quadratic: schoolbook products, plain
 extended Euclid, incremental Newton interpolation.
 """
@@ -44,7 +51,7 @@ class _RationalField:
 
     @staticmethod
     def is_zero(a):
-        return a == 0
+        return not a
 
     @staticmethod
     def from_int(n):
@@ -166,14 +173,20 @@ def pdivmod(a: list, b: list, F) -> tuple[list, list]:
     return ptrim(q, F), ptrim(r, F)
 
 
+def pdiv_exact(a: list, b: list, F) -> list:
+    """a / b, for a multiple a of b."""
+    q, r = pdivmod(a, b, F)
+    if r:
+        raise ArithmeticError("inexact polynomial division")
+    return q
+
+
 def pgcd(a: list, b: list, F) -> list:
     """Monic gcd."""
     a, b = list(a), list(b)
     while b:
         a, b = b, pdivmod(a, b, F)[1]
-    if a:
-        a = pscale(a, F.inv(a[-1]), F)
-    return a
+    return pmonic(a, F)
 
 
 def pmonic(a: list, F) -> list:
@@ -225,16 +238,8 @@ class RatPoly:
             return v
         return cls.const(Fraction(v))
 
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def is_constant(self) -> bool:
-        return len(self.num) <= 1 and len(self.den) == 1
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return self.num[0] / self.den[0] if self.num else Fraction(0)
+    def __bool__(self) -> bool:
+        return bool(self.num)
 
     def __add__(self, other):
         o = RatPoly.coerce(other)
@@ -260,56 +265,27 @@ class RatPoly:
 
     def __truediv__(self, other):
         o = RatPoly.coerce(other)
-        if o.is_zero():
+        if not o:
             raise ZeroDivisionError("division by zero rational function")
         return RatPoly.make(pmul(list(self.num), list(o.den), QQ), pmul(list(self.den), list(o.num), QQ))
 
     def __rtruediv__(self, other):
         return RatPoly.coerce(other) / self
 
-    def eval(self, x: Fraction) -> Fraction:
-        den = peval(list(self.den), x, QQ)
-        if den == 0:
-            raise ZeroDivisionError(f"pole at {x}")
-        return peval(list(self.num), x, QQ) / den
 
+def clear_denominators(values) -> tuple[list, list]:
+    """Numerators and one common denominator of rational functions, in Z[q].
 
-class _RatPolyField:
-    """Field protocol instance for rational functions in one parameter."""
-
-    zero = RatPoly((), (Fraction(1),))
-    one = RatPoly((Fraction(1),), (Fraction(1),))
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def inv(a):
-        return _RatPolyField.one / a
-
-    @staticmethod
-    def is_zero(a):
-        return a.is_zero()
-
-    @staticmethod
-    def from_int(n):
-        return RatPoly.const(n)
-
-    def __repr__(self):
-        return "QQ(t)"
-
-
-QQ_T = _RatPolyField()
-QPARAM = RatPoly((Fraction(0), Fraction(1)), (Fraction(1),))  # the parameter itself
+    Returns int coefficient lists (nums, den) with values[i] = nums[i]/den:
+    den is the monic lcm of the denominators over Q, scaled together with
+    every numerator by the least positive integer making them integral.
+    """
+    den = [Fraction(1)]
+    for v in values:
+        den = pmul(den, pdiv_exact(list(v.den), pgcd(den, list(v.den), QQ), QQ), QQ)
+    nums = [pmul(list(v.num), pdiv_exact(den, list(v.den), QQ), QQ) for v in values]
+    s = math.lcm(*(c.denominator for p in (den, *nums) for c in p))
+    return [[int(c * s) for c in p] for p in nums], [int(c * s) for c in den]
 
 
 # ---------------------------------------------------------------------------

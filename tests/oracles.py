@@ -8,6 +8,8 @@ fast implementations against code that shares no machinery with them.
 import random
 from fractions import Fraction
 
+from seqguess.rings import QQ, RatPoly, peval
+
 
 def condition_matrix(streams, bounds, sigma, p, points=None):
     """Dense matrix of the order conditions, one row per condition.
@@ -267,26 +269,76 @@ class _Fractions:
     from_int = Fraction
 
 
-def condition_values(coeffs, schema, terms):
-    """Every condition the data determines for a candidate, as Fractions.
+def ratpoly_eval(r, x):
+    """r(x) for a RatPoly r at a rational x; ZeroDivisionError at a pole."""
+    den = peval(list(r.den), x, QQ)
+    if den == 0:
+        raise ZeroDivisionError(f"pole at {x}")
+    return peval(list(r.num), x, QQ) / den
+
+
+class _RatPolyField:
+    """Field protocol instance for rational functions in one parameter.
+
+    The reference for the exact Q(q) check: plain RatPoly arithmetic,
+    with a gcd in every operation.
+    """
+
+    zero = RatPoly((), (Fraction(1),))
+    one = RatPoly((Fraction(1),), (Fraction(1),))
+
+    @staticmethod
+    def add(a, b):
+        return a + b
+
+    @staticmethod
+    def sub(a, b):
+        return a - b
+
+    @staticmethod
+    def mul(a, b):
+        return a * b
+
+    @staticmethod
+    def inv(a):
+        return _RatPolyField.one / a
+
+    @staticmethod
+    def is_zero(a):
+        return not a
+
+    @staticmethod
+    def from_int(n):
+        return RatPoly.const(n)
+
+    def __repr__(self):
+        return "QQ(t)"
+
+
+QQ_T = _RatPolyField()
+QPARAM = RatPoly((Fraction(0), Fraction(1)), (Fraction(1),))  # the parameter itself
+
+
+def condition_values(coeffs, schema, terms, F=_Fractions, qval=None):
+    """Every condition the data determines for a candidate, as values of F.
 
     Sequences: sum_l c_l(i) * stream_l[i] for each row i that every used
     monomial reaches.  Series: the x^i coefficient of sum_l c_l * stream_l
     for i below min over used l of (stream length + valuation of c_l).
-    Monomial values come from naive_images over plain Fractions.
+    Monomial values come from naive_images over F: plain Fractions, or
+    QQ_T with qval = QPARAM for q schemas.
     """
-    streams, points = naive_images([Fraction(t) for t in terms], schema, _Fractions)
+    streams, points = naive_images([F.mul(F.one, t) for t in terms], schema, F, qval)
     used = [l for l, c in enumerate(coeffs) if c]
     if not schema.series:
         rows = min(len(streams[l]) for l in used)
-        return [sum(Fraction(c) * points[i] ** e * streams[l][i] for l in used for e, c in enumerate(coeffs[l]))
+        return [sum(F.mul(F.mul(c, _power(F, points[i], e)), streams[l][i]) for l in used for e, c in enumerate(coeffs[l]))
                 for i in range(rows)]
     order = min(len(streams[l]) + next(e for e, c in enumerate(coeffs[l]) if c) for l in used)
-    return [sum(Fraction(c) * streams[l][i - e] for l in used for e, c in enumerate(coeffs[l])
-                if c and i - e >= 0)
+    return [sum(F.mul(c, streams[l][i - e]) for l in used for e, c in enumerate(coeffs[l]) if c and i - e >= 0)
             for i in range(order)]
 
 
-def first_failure_reference(coeffs, schema, terms):
+def first_failure_reference(coeffs, schema, terms, F=_Fractions, qval=None):
     """(index, value) of the first nonzero condition, or None when all vanish."""
-    return next(((i, v) for i, v in enumerate(condition_values(coeffs, schema, terms)) if v), None)
+    return next(((i, v) for i, v in enumerate(condition_values(coeffs, schema, terms, F, qval)) if v), None)

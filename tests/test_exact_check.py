@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import condition_values, first_failure_reference
+from oracles import QPARAM, QQ_T, condition_values, first_failure_reference
 from seqguess.guess import (
     Options,
     _exact_failure,
@@ -96,15 +96,15 @@ LARGE_PRIMES = _large_primes(12)
 SMALL = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
 
 
-def _interpolate(values):
-    """Coefficients of the polynomial of degree < len(values) through (i, values[i])."""
+def _interpolate(values, points=range(100)):
+    """Coefficients of the polynomial of degree < len(values) through (points[i], values[i])."""
     out = []
     for i, v in enumerate(values):
         basis, denom = [F(1)], F(1)
         for k in range(len(values)):
             if k != i:
-                basis = [a - k * b for a, b in zip([F(0)] + basis, basis + [F(0)])]
-                denom *= i - k
+                basis = [a - points[k] * b for a, b in zip([F(0)] + basis, basis + [F(0)])]
+                denom = denom * (points[i] - points[k])
         out = [a + v / denom * b for a, b in zip(out + [F(0)] * (len(basis) - len(out)), basis)]
     while out and not out[-1]:
         out.pop()
@@ -148,3 +148,70 @@ def test_integer_check_matches_fraction_reference(case):
     assert schema.monomials[0].parts == ()
     want = first_failure_reference(col, schema, terms)
     assert _exact_failure(col, schema, _exact_images(terms, schema)) == want
+
+
+# ---------------------------------------------------------------------------
+# the Q(q) check, by Kronecker substitution, agrees with RatPoly arithmetic
+
+
+# (class, options, m): q-power points, mixed q with integer points,
+# q-dilations, and one schema of degree 2 in f
+Q_SCHEMAS = [
+    ("rat", {}, 2),
+    ("prec", {"max_shift": 1}, 3),
+    ("prec", {"max_shift": 1, "max_mixed_degree": 1}, 4),
+    ("pade", {}, 2),
+    ("holo", {"max_derivative": 2}, 3),
+    ("alg", {"max_power": 2}, 3),
+]
+
+
+@st.composite
+def _ratpolys(draw):
+    num = draw(st.lists(st.integers(-6, 6), max_size=3))
+    den = draw(st.sampled_from([[1], [1], [1, 1], [-2, 1], [3, 0, 1], [2]]))
+    return RatPoly.make(num, den)
+
+
+@st.composite
+def _q_candidates(draw):
+    """A q schema, terms, and a column that satisfies its first j conditions."""
+    klass, kw, m = draw(st.sampled_from(Q_SCHEMAS))
+    schema = build_schema(klass, Options(**kw), m, q=True)
+    n = draw(st.integers(schema.loss + 2, 7))
+    terms = draw(st.lists(_ratpolys(), min_size=n, max_size=n))
+    col = [[]] + [draw(st.lists(_ratpolys(), max_size=2)) for _ in range(m - 1)]
+    col[-1].append(RatPoly.make([draw(st.integers(1, 5))], draw(st.sampled_from([[1], [1, 1]]))))
+    col = [cs[: max((i + 1 for i, c in enumerate(cs) if c), default=0)] for cs in col]  # no trailing zeros
+    rest = condition_values(col, schema, terms, QQ_T, QPARAM)
+    j = draw(st.integers(0, len(rest)))
+    if schema.series:
+        col[0] = [-v for v in rest[:j]]
+        while col[0] and not col[0][-1]:
+            col[0].pop()
+    elif schema.points_kind == "qpower":
+        col[0] = _interpolate([-v for v in rest[:j]], [RatPoly.make([0] * i + [1]) for i in range(j)])
+    else:
+        col[0] = _interpolate([-v for v in rest[:j]])
+    return schema, terms, col
+
+
+@settings(deadline=None, derandomize=True, max_examples=120)
+@given(_q_candidates())
+def test_kronecker_check_matches_ratpoly_reference(case):
+    schema, terms, col = case
+    assert schema.q and schema.monomials[0].parts == ()
+    want = first_failure_reference(col, schema, terms, QQ_T, QPARAM)
+    assert _exact_failure(col, schema, _exact_images(terms, schema)) == want
+
+
+def test_condition_vanishing_at_two_to_the_twenty_is_rejected():
+    """The one nonzero condition 2^20 - q vanishes at q = 2^20; the bound
+    on the column's norm picks a larger substitution."""
+    schema = build_schema("pade", Options(), 2, q=True)  # 1, f(x)
+    terms = [RatPoly.const(1)] * 4
+    col = [[RatPoly.const(-1)] * 3 + [RatPoly.make([2**20 - 1, -1])], [RatPoly.const(1)]]
+    want = first_failure_reference(col, schema, terms, QQ_T, QPARAM)
+    assert want == (3, RatPoly.make([2**20, -1]))
+    assert _exact_failure(col, schema, _exact_images(terms, schema)) == want
+    assert filter_interpolating([col], schema, terms) == []

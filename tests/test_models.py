@@ -21,9 +21,9 @@ from seqguess.models import (
     partitions_lex,
     schema_stream,
 )
-from seqguess.rings import QQ, QQ_T, QPARAM, ZZ, RatPoly
+from seqguess.rings import QQ, ZZ, RatPoly
 
-from oracles import naive_images
+from oracles import QPARAM, QQ_T, naive_images, ratpoly_eval
 
 
 def test_partitions_lex_frozen():
@@ -166,7 +166,7 @@ def test_build_images_derivative():
 def test_build_images_qpower_points():
     schema = build_schema("rat", Options(), 2, q=True)
     terms = [RatPoly.const(1), QPARAM, QPARAM * QPARAM]
-    prob = build_images(terms, schema, QQ_T)
+    prob = build_images(terms, schema, QQ_T, QPARAM)
     assert prob.points[0] == RatPoly.const(1)
     assert prob.points[1] == QPARAM
     assert prob.points[2] == QPARAM * QPARAM
@@ -197,10 +197,10 @@ def test_build_images_q_evaluation_commutes():
     tau = 3
     terms = [RatPoly.make([rng.randint(-5, 5) for _ in range(3)]) for _ in range(6)]
     schema = build_schema("rat", Options(), 2, q=True)
-    exact = build_images(terms, schema, QQ_T)
+    exact = build_images(terms, schema, QQ_T, QPARAM)
     modular = build_images(terms, schema, fp, q_point=tau)
     for se, sm in zip(exact.streams, modular.streams):
-        assert [reduce_scalar(v.eval(F(tau)), fp) for v in se] == list(map(int, sm))
+        assert [reduce_scalar(ratpoly_eval(v, F(tau)), fp) for v in se] == list(map(int, sm))
 
 
 def test_to_field_bad_modulus_at_vanishing_denominator():
@@ -250,8 +250,8 @@ def _builder_fields(q: bool, rng):
     tau = 5
     if q:
         terms = [RatPoly.make([rng.randint(-4, 4) for _ in range(2)], [rng.randint(1, 3), 1]) for _ in range(7)]
-        yield QQ_T, None, terms, lambda t: t, QPARAM
-        yield fp, tau, terms, lambda t: reduce_scalar(t.eval(F(tau)), fp), tau
+        yield QQ_T, QPARAM, terms, lambda t: t, QPARAM
+        yield fp, tau, terms, lambda t: reduce_scalar(ratpoly_eval(t, F(tau)), fp), tau
     else:
         terms = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(8)]
         yield QQ, None, terms, F, None
@@ -274,3 +274,30 @@ def test_builder_matches_naive_products(klass, opts, q):
         assert prob.sigma == sigma
         assert prob.streams == [s[:sigma] for s in ref_streams]
         assert prob.points == (None if ref_points is None else ref_points[:sigma])
+
+
+def _filtered_stream(klass, opts, q):
+    """schema_stream as a filter over every partition up to the weight cap
+    (no somos; homogeneous False or an integer)."""
+    tag, part_cap, count_cap = models._resolve_caps(klass, opts, q)
+    homog = opts.homogeneous
+    weight = part_cap * (count_cap if homog is False else homog)
+    mixed = opts.max_mixed_degree if q and tag == "shift" else 0
+    return [Monomial(p, tag, j) for p in partitions_lex(weight)
+            if (not p or p[0] <= part_cap) and len(p) <= count_cap and homog in (False, len(p))
+            for j in range(mixed + 1)]
+
+
+ORDER_24 = Options(homogeneous=1, max_shift=24, max_degree=40)
+
+
+@pytest.mark.parametrize("klass,opts,q", BUILDER_CASES + [("prec", ORDER_24, False)])
+def test_capped_partitions_leave_the_stream_unchanged(klass, opts, q):
+    assert list(schema_stream(klass, opts, q)) == _filtered_stream(klass, opts, q)
+
+
+def test_capped_partitions_are_only_the_admissible_ones():
+    assert partitions_lex(25, 25, 1) == [()] + [(w,) for w in range(1, 26)]
+    assert partitions_lex(4, 2, 2) == [(), (1,), (1, 1), (2,), (2, 1), (2, 2)]
+    stream = partition_stream(None, 2)
+    assert [next(stream) for _ in range(6)] == [(), (1,), (1, 1), (2,), (2, 1), (3,)]
