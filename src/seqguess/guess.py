@@ -198,25 +198,20 @@ def enumerate_degree_vectors(total: int, m: int, cap: int, all_degrees: bool) ->
 # exact verification
 
 
-def _valuation(coeffs, F) -> int:
-    for i, c in enumerate(coeffs):
-        if not F.is_zero(c):
-            return i
-    raise ValueError("zero polynomial has no valuation")
-
-
 def _first_failure(coeffs, schema: Schema, streams, points, F):
     """First condition the candidate violates, or None when all hold.
 
     Checks every condition the data determines: for sequences, rows
     where all used monomial values exist; for series, coefficients up to
     min over used monomials of (stream length + coefficient valuation).
+    A list is used when it has a nonzero entry.
     """
-    used = [l for l, c in enumerate(coeffs) if c]
+    nonzero = [[i for i, a in enumerate(c) if not F.is_zero(a)] for c in coeffs]
+    used = [l for l, nz in enumerate(nonzero) if nz]
     if not used:
         return (0, F.one)  # the zero combination guesses nothing
     if schema.series:
-        order = min(len(streams[l]) + _valuation(coeffs[l], F) for l in used)
+        order = min(len(streams[l]) + nonzero[l][0] for l in used)
         total = [F.zero] * order
         for l in used:
             prod = pmul_trunc(coeffs[l], streams[l], order, F)
@@ -252,22 +247,63 @@ def _balanced_digits(v: int, B: int) -> list:
     return out
 
 
-def _exact_images(terms, schema: Schema):
-    """(cleared terms, D, norm, store) for _exact_failure.
+class _TermImages:
+    """The terms of one search, cleared once by D (`_clear`), and their images.
 
-    The terms are scaled by D, the lcm of their denominators: an integer
-    over Q, a polynomial in Z[q] over Q(q).  Every atom is linear in f,
-    so the stream of a monomial of degree k is D^k times the rational
-    one.  Over Q(q), `norm` bounds the L1 norm of every stream entry: it
-    is the largest entry of the same build on the terms' L1 norms at
-    q = 1, since each entry is a sum of products.  The store keeps the
+    Each (prime, q point) and each exact q value keeps the terms in its
+    field with one check_images memo, so every schema size and degree
+    vector of the search reads the same residues, atoms and products.
+    """
+
+    def __init__(self, terms, q: bool):
+        self.q = q
+        self.nums, self.den = _clear(terms, q)
+        self.by_prime: dict = {}  # p -> the Z[q] lists mod p
+        self.memos: dict = {}  # (p, point) -> (residues, memo), None where D vanishes; q value -> (ints, memo)
+
+    def modular(self, fp: ModPrime, point):
+        key = (fp.p, point)
+        if key not in self.memos:
+            self.memos[key] = self._residues(fp, point)
+        if self.memos[key] is None:
+            raise BadModulus(f"term denominator vanishes mod {fp.p} at q={point}")
+        return self.memos[key]
+
+    def _residues(self, fp: ModPrime, point):
+        """Over Q one inverse of D per prime; over Q(q) the lists are
+        reduced once per prime and evaluated by Horner at each point."""
+        p = fp.p
+        nums, den = self.nums, self.den
+        if self.q:
+            if p not in self.by_prime:
+                self.by_prime[p] = [[c % p for c in t] for t in (den, *nums)]
+            den, *nums = (peval(t, point, fp) for t in self.by_prime[p])
+        if den % p == 0:
+            return None
+        inv = pow(den, -1, p)
+        return [c % p * inv % p for c in nums], {}
+
+    def exact(self, x):
+        """(the cleared terms over ZZ at q = x, or as they are for x None, memo)."""
+        if x not in self.memos:
+            self.memos[x] = [t if x is None else peval(t, x, ZZ) for t in self.nums], {}
+        return self.memos[x]
+
+
+def _exact_images(store: _TermImages, schema: Schema):
+    """(store, norm, builds) for _exact_failure.
+
+    Every atom is linear in f, so the stream of a monomial of degree k
+    built on the cleared terms is D^k times the rational one.  Over
+    Q(q), `norm` bounds the L1 norm of every stream entry: it is the
+    largest entry of the same build on the terms' L1 norms at q = 1,
+    since each entry is a sum of products.  `builds` keeps the schema's
     ZZ streams of each substituted q value.
     """
-    cleared, D = _clear(terms, schema.q)
-    if not schema.q:
-        return cleared, D, None, {}
-    streams = check_images([sum(map(abs, t)) for t in cleared], schema, ZZ, 1)[0]
-    return cleared, D, max(1, *(max(s) for s in streams)), {}
+    if not store.q:
+        return store, None, {}
+    streams = check_images([sum(map(abs, t)) for t in store.nums], schema, ZZ, 1)[0]
+    return store, max(1, *(max(s) for s in streams)), {}
 
 
 def _exact_failure(col, schema: Schema, exact):
@@ -285,14 +321,15 @@ def _exact_failure(col, schema: Schema, exact):
     scaled coefficient vanishes at 2^B either, so series valuations
     hold.  B is rounded up to a power of two, so few builds serve a schema.
     """
-    terms, D, norm, built = exact
+    store, norm, built = exact
+    D = store.den
     K = max(mo.degree for mo in schema.monomials)
     flat, L = _clear([c for cs in col for c in cs], norm is not None)
     it = iter(flat)
     nums = [[next(it) for _ in cs] for cs in col]
     x = None
     if norm is not None:
-        w = len(terms) if schema.points_kind == "integer" else 1
+        w = len(store.nums) if schema.points_kind == "integer" else 1
         d1 = sum(map(abs, D))
         bound = norm * sum(d1 ** (K - mo.degree) * sum(sum(map(abs, a)) * w**e for e, a in enumerate(cs))
                            for cs, mo in zip(nums, schema.monomials))
@@ -303,7 +340,8 @@ def _exact_failure(col, schema: Schema, exact):
         return v if x is None else peval(v, x, ZZ)
 
     if x not in built:
-        built[x] = (*check_images([at(t) for t in terms], schema, ZZ, x), at(D))
+        terms, memo = store.exact(x)
+        built[x] = (*check_images(terms, schema, ZZ, x, memo=memo), at(D))
     streams, points, d = built[x]
     scales = [d ** (K - mo.degree) for mo in schema.monomials]
     fail = _first_failure([[at(a) * s for a in cs] for cs, s in zip(nums, scales)], schema, streams, points, ZZ)
@@ -329,7 +367,7 @@ def filter_interpolating(columns, schema: Schema, terms, check_extra_values: boo
     if not check_extra_values:
         return list(columns)
     if exact is None:
-        exact = _exact_images(terms, schema)
+        exact = _exact_images(_TermImages(terms, schema.q), schema)
     passed, rejected = [], []
     for col in columns:
         fail = _exact_failure(col, schema, exact)
@@ -350,7 +388,7 @@ def check_deterministic(result: GuessResult, terms) -> bool:
     """Exact check of the equation against all checkable conditions."""
     schema = result.schema
     terms = _coerce_terms(terms, schema.q)
-    return _exact_failure(result.coeffs, schema, _exact_images(terms, schema)) is None
+    return _exact_failure(result.coeffs, schema, _exact_images(_TermImages(terms, schema.q), schema)) is None
 
 
 def check_monte_carlo(result: GuessResult, terms, trials: int = 3, seed: int = 0) -> bool:
@@ -389,25 +427,22 @@ def _lift_options(opts: Options) -> LiftOptions:
     return LiftOptions(seed=opts.seed, debug=_dbg if opts.debug else None)
 
 
-def _make_builder(terms, schema: Schema):
-    """Image builder for one schema; each (prime, q point) is built once.
+def _make_builder(store: _TermImages, schema: Schema):
+    """Image builder for one schema, on the search's residues and memos.
 
     Every degree vector of the schema starts from the same primes (and,
-    in q mode, the same points), so later vectors reuse the images.
+    in q mode, the same points), so each is cut to the schema once.
     """
     images: dict = {}
 
     def builder(fp, t_point):
         key = (fp.p, t_point)
         if key not in images:
-            images[key] = build_images(terms, schema, fp, q_point=t_point)
+            terms, memo = store.modular(fp, t_point)
+            images[key] = build_images(terms, schema, fp, q_point=t_point, memo=memo)
         return images[key]
 
     return builder
-
-
-def _factorial_scaled(k: int, value):
-    return Fraction(math.factorial(k)) * value
 
 
 def _make_result(col, schema: Schema, terms, opts: Options, checked: str) -> GuessResult:
@@ -421,7 +456,7 @@ def _make_result(col, schema: Schema, terms, opts: Options, checked: str) -> Gue
         ic_kind, ics = "prefix", tuple(terms[:prefix])
     elif klass in ("holo", "ade", "alg"):
         count = max(1, max_part - 1)
-        ic_kind, ics = "taylor", tuple((k, _factorial_scaled(k, terms[k])) for k in range(count))
+        ic_kind, ics = "taylor", tuple((k, math.factorial(k) * terms[k]) for k in range(count))
     else:
         ic_kind, ics = "none", ()
     return GuessResult(
@@ -454,7 +489,7 @@ def _budget(col, m: int, all_deg: bool) -> int:
         b += 1
 
 
-def _search(terms, klass: str, opts: Options, q: bool) -> list[GuessResult]:
+def _search(store: _TermImages, terms, klass: str, opts: Options, q: bool) -> list[GuessResult]:
     N = len(terms)
     domain = "polyrational" if q else "rational"
     all_deg = opts.all_degrees if opts.all_degrees is not None else klass in ("rat", "pade")
@@ -478,7 +513,7 @@ def _search(terms, klass: str, opts: Options, q: bool) -> list[GuessResult]:
         vectors = enumerate_degree_vectors(total, m, cap, all_deg)
         if opts.debug:
             _dbg(f"{klass} m={m} sigma={sigma} unknowns={total} vectors={len(vectors)}")
-        builder = _make_builder(terms, schema)
+        builder = _make_builder(store, schema)
         exact = None  # built on the first candidate that needs checking
         verdicts: dict = {}  # lifted columns -> filter_interpolating output
         for bounds in vectors:
@@ -489,7 +524,7 @@ def _search(terms, klass: str, opts: Options, q: bool) -> list[GuessResult]:
             except NoSolution:
                 continue
             if exact is None:
-                exact = _exact_images(terms, schema)
+                exact = _exact_images(store, schema)
             key = tuple(tuple(map(tuple, col)) for col in lifted.columns)
             if key not in verdicts:
                 verdicts[key] = filter_interpolating(lifted.columns, schema, terms, opts.check_extra_values, exact)
@@ -532,14 +567,15 @@ def guess_class(terms, klass: str, opts: Options | None = None, *, q: bool = Fal
     opts = _options(opts, kw)
     _validate(opts)
     terms = _coerce_terms(terms, q)
+    store = _TermImages(terms, q)
     if opts.somos is True:
         results = []
         for s in _somos_values(opts):
-            results.extend(_search(terms, klass, replace(opts, somos=s), q))
+            results.extend(_search(store, terms, klass, replace(opts, somos=s), q))
             if results and opts.one:
                 return results
         return results
-    return _search(terms, klass, opts, q)
+    return _search(store, terms, klass, opts, q)
 
 
 def guess_rat(terms, opts: Options | None = None, *, q: bool = False, **kw):

@@ -282,15 +282,6 @@ def _to_field(term, F, q_point):
     return term  # exact fields take the terms as they are
 
 
-def _geometric(q, count: int, F) -> list:
-    out = []
-    acc = F.one
-    for _ in range(count):
-        out.append(acc)
-        acc = F.mul(acc, q)
-    return out
-
-
 def _atom_stream(part: int, tag: str, terms, top: int, F, qpowers) -> list:
     """One copy of f at its natural length, capped at top entries."""
     if tag == "shift":
@@ -312,7 +303,7 @@ def _atom_stream(part: int, tag: str, terms, top: int, F, qpowers) -> list:
     raise ValueError(f"unknown tag {tag!r}")
 
 
-def check_images(terms, schema: Schema, F, q_point=None, cut=None):
+def check_images(terms, schema: Schema, F, q_point=None, cut=None, memo=None):
     """Every schema monomial evaluated against the terms, in the field F.
 
     F is a ModPrime (terms reduced once, all further work modular) or
@@ -324,10 +315,12 @@ def check_images(terms, schema: Schema, F, q_point=None, cut=None):
     Stream l has its monomial's natural length len(terms) - loss_l and
     the points cover all len(terms) indices, which exposes every
     condition the data can express; `cut` caps every length at cut.
-    Each atom, each step of the shared-subproduct plan and each power
-    sequence of q is computed once.  For shift and derivative tags the
-    last part of a sorted prefix names the shortest atom, so every
-    product takes its length from that atom.
+    Atoms, the steps of the shared-subproduct plan and the power
+    sequences of q are kept in `memo` at natural length and cut when
+    read.  Passing one memo (with the terms already in F) to every
+    schema of a search computes each once.  For shift and derivative
+    tags the last part of a sorted prefix names the shortest atom, so
+    every product takes its length from that atom.
     """
     N = len(terms)
     if N - schema.loss < 1:
@@ -335,26 +328,25 @@ def check_images(terms, schema: Schema, F, q_point=None, cut=None):
     top = N if cut is None else min(N, cut)
     if q_point is None and (schema.q or any(mo.tag == "qdilation" or mo.mixed for mo in schema.monomials)):
         raise ValueError("schema needs a q value: pass q_point")
-    terms_f = [_to_field(t, F, q_point) for t in terms]
+    if memo is None:
+        memo = {}
+        terms = [_to_field(t, F, q_point) for t in terms]
     series = schema.series
 
-    qpow: dict[int, list] = {}
-
     def qpowers(j: int) -> list:
-        """q^(j i) for i < top."""
-        if j not in qpow:
-            qj = F.one
-            for _ in range(j):
-                qj = F.mul(qj, q_point)
-            qpow[j] = _geometric(qj, top, F)
-        return qpow[j]
+        """q^(j i) for i < N, under the int key j."""
+        if j not in memo:
+            qj = functools.reduce(F.mul, [q_point] * j, F.one)
+            memo[j] = list(itertools.accumulate([qj] * (N - 1), F.mul, initial=F.one))
+        return memo[j]
 
-    memo: dict[tuple[int, ...], list] = {}
     for mo in schema.monomials:
         for part in mo.parts:
             if (part,) not in memo:
-                memo[(part,)] = _atom_stream(part, mo.tag, terms_f, top, F, qpowers)
+                memo[(part,)] = _atom_stream(part, mo.tag, terms, N, F, qpowers)
     for prefix in cauchy_plan([mo.parts for mo in schema.monomials]):
+        if prefix in memo:
+            continue
         a, b = memo[prefix[:-1]], memo[prefix[-1:]]
         if series:
             memo[prefix] = pmul_trunc(a, b, len(b), F)
@@ -364,7 +356,7 @@ def check_images(terms, schema: Schema, F, q_point=None, cut=None):
     streams = []
     for mo in schema.monomials:
         if mo.parts:
-            base = memo[tuple(sorted(mo.parts))]
+            base = memo[tuple(sorted(mo.parts))][:top]
         elif series:
             base = [F.one] + [F.zero] * (top - 1)
         else:
@@ -376,14 +368,14 @@ def check_images(terms, schema: Schema, F, q_point=None, cut=None):
     if series:
         points = None
     elif schema.points_kind == "qpower":
-        points = qpowers(1)
+        points = qpowers(1)[:top]
     else:
         points = [F.from_int(i) for i in range(top)]
     return streams, points
 
 
-def build_images(terms, schema: Schema, F, q_point=None) -> OrderProblem:
+def build_images(terms, schema: Schema, F, q_point=None, memo=None) -> OrderProblem:
     """check_images cut to the shared order sigma = len(terms) - loss."""
     sigma = len(terms) - schema.loss
-    streams, points = check_images(terms, schema, F, q_point, cut=sigma)
+    streams, points = check_images(terms, schema, F, q_point, cut=sigma, memo=memo)
     return OrderProblem(streams=streams, points=points, sigma=sigma)

@@ -329,7 +329,7 @@ def condition_values(coeffs, schema, terms, F=_Fractions, qval=None):
     QQ_T with qval = QPARAM for q schemas.
     """
     streams, points = naive_images([F.mul(F.one, t) for t in terms], schema, F, qval)
-    used = [l for l, c in enumerate(coeffs) if c]
+    used = [l for l, c in enumerate(coeffs) if any(c)]  # an all-zero list is unused
     if not schema.series:
         rows = min(len(streams[l]) for l in used)
         return [sum(F.mul(F.mul(c, _power(F, points[i], e)), streams[l][i]) for l in used for e, c in enumerate(coeffs[l]))

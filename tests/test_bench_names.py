@@ -42,3 +42,20 @@ def test_every_patched_name_resolves():
         assert isinstance(module, types.ModuleType), module_name
         assert callable(vars(module).get(attr)), f"{module_name}.{attr} is not a module global"
         assert attr in _global_names(module), f"nothing in {module_name} calls {attr} by its global name"
+
+
+def test_traced_build_images_sees_the_q_point():
+    """lift.q_points counts the build_images spans whose q_point is set
+    (4th positional argument or keyword); a changed call would make the
+    count read 0, or count every image, without failing anything."""
+    from seqguess import RatPoly, guess_rat
+
+    def q_flags(terms, q):
+        tracer = _load_layers().Tracer()
+        with tracer.patched():
+            assert guess_rat(terms, q=q)
+        return [info["q"] for name, _, _, _, info in tracer.spans if name == "models.build_images"]
+
+    assert any(q_flags([RatPoly.make([1] * n) for n in range(6)], True))
+    flags = q_flags([0, 1, 4, 9], False)
+    assert flags and not any(flags)

@@ -2,6 +2,7 @@
 and rejection of candidates that only the last condition refutes."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -11,11 +12,14 @@ from hypothesis import strategies as st
 from oracles import QPARAM, QQ_T, condition_values, first_failure_reference
 from seqguess.guess import (
     Options,
+    _TermImages,
     _exact_failure,
     _exact_images,
     check_deterministic,
+    GuessResult,
     filter_interpolating,
     guess_class,
+    guess_pade,
 )
 from seqguess.modarith import is_probable_prime
 from seqguess.models import build_schema
@@ -64,6 +68,26 @@ def test_change_of_the_last_term_alone_is_rejected(klass, terms, kw, q):
     assert check_deterministic(res, terms[:-1])  # only the last term can refute it
     assert not check_deterministic(res, changed)
     assert filter_interpolating([res.coeffs], res.schema, changed) == []
+
+
+def test_all_zero_list_counts_as_unused_in_a_series():
+    """A nonempty all-zero list is checked like an empty one, not as a
+    monomial with no valuation."""
+    res = guess_pade([1, 1, 2, 3, 5, 8, 13, 21])[0]
+    terms = [F(t) for t in (1, 1, 2, 3, 5, 8, 13, 21)]
+    assert check_deterministic(res, terms)
+    for first in ([], [F(0)]):
+        assert not check_deterministic(replace(res, coeffs=[first] + res.coeffs[1:]), terms)
+
+
+def test_all_zero_list_does_not_cut_the_checked_rows():
+    """f(n+1) - f(n) = 0 with a zero list on f(n+5) holds only on the first
+    rows; every row where f(n) and f(n+1) exist must be checked."""
+    schema = build_schema("prec", Options(max_shift=5, homogeneous=1), 6)
+    terms = [1, 1, 1, 1, 1, 2, 3, 4]
+    for last in ([], [F(0)]):
+        res = GuessResult(schema, [[F(-1)], [F(1)], [], [], [], last], "terms", (), "deterministic", ("f", "n", "x"))
+        assert not check_deterministic(res, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +171,7 @@ def test_integer_check_matches_fraction_reference(case):
     schema, terms, col = case
     assert schema.monomials[0].parts == ()
     want = first_failure_reference(col, schema, terms)
-    assert _exact_failure(col, schema, _exact_images(terms, schema)) == want
+    assert _exact_failure(col, schema, _exact_images(_TermImages(terms, schema.q), schema)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +226,7 @@ def test_kronecker_check_matches_ratpoly_reference(case):
     schema, terms, col = case
     assert schema.q and schema.monomials[0].parts == ()
     want = first_failure_reference(col, schema, terms, QQ_T, QPARAM)
-    assert _exact_failure(col, schema, _exact_images(terms, schema)) == want
+    assert _exact_failure(col, schema, _exact_images(_TermImages(terms, schema.q), schema)) == want
 
 
 def test_condition_vanishing_at_two_to_the_twenty_is_rejected():
@@ -213,5 +237,5 @@ def test_condition_vanishing_at_two_to_the_twenty_is_rejected():
     col = [[RatPoly.const(-1)] * 3 + [RatPoly.make([2**20 - 1, -1])], [RatPoly.const(1)]]
     want = first_failure_reference(col, schema, terms, QQ_T, QPARAM)
     assert want == (3, RatPoly.make([2**20, -1]))
-    assert _exact_failure(col, schema, _exact_images(terms, schema)) == want
+    assert _exact_failure(col, schema, _exact_images(_TermImages(terms, schema.q), schema)) == want
     assert filter_interpolating([col], schema, terms) == []

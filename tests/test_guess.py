@@ -1,13 +1,20 @@
 """End-to-end guessing: golden examples, ranking, verification modes."""
 
+import importlib
+import importlib.util
 import math
 import random
+import sys
 import threading
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import seqguess
 from oracles import gen_prec_terms
+from seqguess import models
+from seqguess.modarith import ModPrime
 from seqguess.errors import UsageError
 from seqguess.guess import (
     Options,
@@ -324,3 +331,66 @@ def test_prec_roundtrip_random_instances():
         res = guess_prec(terms[:count], homogeneous=1, max_shift=order, max_degree=deg)
         assert res, (order, deg, count)
         assert check_deterministic(res[0], terms)
+
+
+# ---------------------------------------------------------------------------
+# one term store per search
+
+
+def _alg_cubic_search(monkeypatch):
+    """The `alg cubic` call of the series_verify benchmark workload, seed 1."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads_reuse", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look the module up
+    spec.loader.exec_module(module)
+    (case,) = [c for c in module.build("series_verify", 1, seqguess) if c.label == "alg cubic"]
+    return case.run
+
+
+def _prec_order_5_search(monkeypatch):
+    """A planted search of the order-5 seq_kernel shape."""
+    terms, _ = gen_prec_terms(5, 10, 71, seed=5)
+    return lambda: guess_prec(terms, homogeneous=1, max_shift=5, max_degree=10)
+
+
+@pytest.mark.parametrize("search,products", [(_prec_order_5_search, 0), (_alg_cubic_search, 19)])
+def test_one_search_reduces_and_multiplies_once_per_key(search, products, monkeypatch):
+    """Every schema size and degree vector of one search reads the same
+    residues, atoms and products: one residue computation per (prime,
+    point), one atom per (prime, point, part) and one product per (prime,
+    point, prefix) that some build needs."""
+    run = search(monkeypatch)
+    guess_mod = importlib.import_module("seqguess.guess")
+    residues, atoms, made = [], [], [0]
+    keys, want_atoms, want_products = set(), set(), set()
+    residues_of, atom_stream, pmul_trunc, build_images = (
+        guess_mod._TermImages._residues, models._atom_stream, models.pmul_trunc, guess_mod.build_images)
+
+    def count_residues(self, fp, point):
+        residues.append((fp.p, point))
+        return residues_of(self, fp, point)
+
+    def count_atoms(part, tag, terms, top, F, qpowers):
+        if isinstance(F, ModPrime):
+            atoms.append((F.p, part))
+        return atom_stream(part, tag, terms, top, F, qpowers)
+
+    def count_products(a, b, order, F):
+        made[0] += isinstance(F, ModPrime)
+        return pmul_trunc(a, b, order, F)
+
+    def note_build(terms, schema, F, q_point=None, **kw):
+        keys.add((F.p, q_point))
+        want_atoms.update((F.p, part) for mo in schema.monomials for part in mo.parts)
+        want_products.update((F.p, q_point, s) for s in models.cauchy_plan([mo.parts for mo in schema.monomials]))
+        return build_images(terms, schema, F, q_point=q_point, **kw)
+
+    monkeypatch.setattr(guess_mod._TermImages, "_residues", count_residues)
+    monkeypatch.setattr(models, "_atom_stream", count_atoms)
+    monkeypatch.setattr(models, "pmul_trunc", count_products)
+    monkeypatch.setattr(guess_mod, "build_images", note_build)
+    assert run()
+    assert len(residues) == len(set(residues)) and keys <= set(residues)
+    assert sorted(atoms) == sorted(want_atoms)
+    assert made[0] == len(want_products) == products

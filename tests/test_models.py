@@ -8,7 +8,7 @@ import pytest
 
 from seqguess.errors import BadModulus, SchemaExhausted
 from seqguess import models
-from seqguess.guess import Options
+from seqguess.guess import Options, _make_builder, _TermImages
 from seqguess.modarith import ModPrime, reduce_scalar
 from seqguess.models import (
     CLASS_NAMES,
@@ -21,7 +21,7 @@ from seqguess.models import (
     partitions_lex,
     schema_stream,
 )
-from seqguess.rings import QQ, ZZ, RatPoly
+from seqguess.rings import QQ, ZZ, RatPoly, peval
 
 from oracles import QPARAM, QQ_T, naive_images, ratpoly_eval
 
@@ -274,6 +274,65 @@ def test_builder_matches_naive_products(klass, opts, q):
         assert prob.sigma == sigma
         assert prob.streams == [s[:sigma] for s in ref_streams]
         assert prob.points == (None if ref_points is None else ref_points[:sigma])
+
+
+def _store_into(fp, tau):
+    """How a raw term maps into Z_p at q = tau (tau None over Q)."""
+    if tau is None:
+        return lambda t: reduce_scalar(t, fp)
+    return lambda t: reduce_scalar(ratpoly_eval(t, F(tau)), fp)
+
+
+@pytest.mark.parametrize("klass,opts,q", BUILDER_CASES)
+def test_term_store_images_equal_fresh_builds(klass, opts, q):
+    """One store serves every schema size 2..M, in ascending and in shuffled
+    order, at two (prime, point) keys: each image equals the naive build
+    cut to sigma, and each exact ZZ build equals a fresh one."""
+    rng = random.Random(11)
+    if q:
+        terms = [RatPoly.make([rng.randint(-4, 4) for _ in range(3)], [rng.randint(1, 3), 1]) for _ in range(8)]
+    else:
+        terms = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(8)]
+    keys = [(ModPrime(10007), 5 if q else None), (ModPrime(65521), 7 if q else None)]
+    x = 1 << 16 if q else None
+    sizes = list(range(2, len(list(schema_stream(klass, opts, q))) + 1))
+    for order in (sizes, rng.sample(sizes, len(sizes))):
+        store = _TermImages(terms, q)
+        for m in order:
+            schema = build_schema(klass, opts, m, q)
+            builder = _make_builder(store, schema)
+            sigma = len(terms) - schema.loss
+            for fp, tau in keys:
+                streams, points = naive_images([_store_into(fp, tau)(t) for t in terms], schema, fp, tau)
+                prob = builder(fp, tau)
+                assert prob.sigma == sigma
+                assert prob.streams == [s[:sigma] for s in streams]
+                assert prob.points == (None if points is None else points[:sigma])
+            exact_terms, memo = store.exact(x)
+            fresh = [t if x is None else peval(t, x, ZZ) for t in store.nums]
+            assert check_images(exact_terms, schema, ZZ, x, memo=memo) == check_images(fresh, schema, ZZ, x)
+
+
+def _raises_bad_modulus(build) -> bool:
+    try:
+        build()
+    except BadModulus:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("q,terms,tau,bad", [
+    (False, [F(1), F(2, 10007), F(3)], None, True),  # p divides a denominator
+    (False, [F(1), F(2, 3), F(3)], None, False),
+    (True, [RatPoly.const(1), RatPoly.make([1], [-1, 1]), RatPoly.const(2)], 1, True),  # 1/(q-1) at q = 1
+    (True, [RatPoly.const(1), RatPoly.make([1], [-1, 1]), RatPoly.const(2)], 2, False),
+    (True, [RatPoly.const(1), RatPoly.make([1, F(1, 10007)]), RatPoly.const(2)], 3, True),  # p divides a coefficient's denominator
+])
+def test_term_store_bad_modulus_matches_raw_build(q, terms, tau, bad):
+    fp = ModPrime(10007)
+    schema = build_schema("rat", Options(), 2, q=q)
+    assert _raises_bad_modulus(lambda: build_images(terms, schema, fp, tau)) is bad
+    assert _raises_bad_modulus(lambda: _make_builder(_TermImages(terms, q), schema)(fp, tau)) is bad
 
 
 def _filtered_stream(klass, opts, q):
