@@ -16,6 +16,9 @@ against every supplied term.  One entry point per equation class:
 
 plus guess(), which composes a base guesser with summation / product
 operators, undoing term-wise differences and quotients.
+
+Exact values enter Z_p and ZZ in one place, _TermImages: the search, the
+exact check and the Monte Carlo check all read their terms from it.
 """
 
 from __future__ import annotations
@@ -30,14 +33,7 @@ from fractions import Fraction
 from .errors import BadModulus, NoSolution, SchemaExhausted, UsageError
 from .lift import LiftOptions, do_solve
 from .modarith import ModPrime, sample_prime
-from .models import (
-    CLASS_NAMES,
-    Schema,
-    _to_field,
-    build_images,
-    build_schema,
-    check_images,
-)
+from .models import CLASS_NAMES, Schema, build_images, build_schema, check_images
 from .rings import QQ, ZZ, RatPoly, clear_denominators, peval, pmul, pmul_trunc, pscale, psub
 
 
@@ -248,11 +244,14 @@ def _balanced_digits(v: int, B: int) -> list:
 
 
 class _TermImages:
-    """The terms of one search, cleared once by D (`_clear`), and their images.
+    """Exact values cleared once by D (`_clear`), and their images.
 
-    Each (prime, q point) and each exact q value keeps the terms in its
+    The one way an exact value enters Z_p or ZZ: the terms of a search
+    or check, or a candidate's flattened coefficients (Monte Carlo).
+    Each (prime, q point) and each exact q value keeps the values in its
     field with one check_images memo, so every schema size and degree
-    vector of the search reads the same residues, atoms and products.
+    vector of the search reads the same residues, atoms and products;
+    each schema keeps the (norm, builds) of _exact_failure.
     """
 
     def __init__(self, terms, q: bool):
@@ -260,6 +259,7 @@ class _TermImages:
         self.nums, self.den = _clear(terms, q)
         self.by_prime: dict = {}  # p -> the Z[q] lists mod p
         self.memos: dict = {}  # (p, point) -> (residues, memo), None where D vanishes; q value -> (ints, memo)
+        self.schemas: dict = {}  # schema -> (norm, builds) of _exact_failure
 
     def modular(self, fp: ModPrime, point):
         key = (fp.p, point)
@@ -290,45 +290,41 @@ class _TermImages:
         return self.memos[x]
 
 
-def _exact_images(store: _TermImages, schema: Schema):
-    """(store, norm, builds) for _exact_failure.
+def _exact_failure(col, schema: Schema, store: _TermImages):
+    """_first_failure of a Q or Q(q) column against the store's terms, over ZZ.
 
     Every atom is linear in f, so the stream of a monomial of degree k
-    built on the cleared terms is D^k times the rational one.  Over
+    built on the terms cleared by D is D^k times the rational one.  Over
     Q(q), `norm` bounds the L1 norm of every stream entry: it is the
     largest entry of the same build on the terms' L1 norms at q = 1,
-    since each entry is a sum of products.  `builds` keeps the schema's
-    ZZ streams of each substituted q value.
-    """
-    if not store.q:
-        return store, None, {}
-    streams = check_images([sum(map(abs, t)) for t in store.nums], schema, ZZ, 1)[0]
-    return store, max(1, *(max(s) for s in streams)), {}
-
-
-def _exact_failure(col, schema: Schema, exact):
-    """_first_failure of a Q or Q(q) column against _exact_images, over ZZ.
-
-    The column is cleared by L, the lcm of its denominators, and list l
-    is scaled by D^(K - k_l) (K the largest monomial degree, k_l that of
-    monomial l), so every condition is L * D^K times the rational one:
-    an integer over Q, a polynomial C in Z[q] over Q(q).  C is decided
-    at q = 2^B (Kronecker substitution).  With a_le the cleared
-    coefficients and w = N at integer points, 1 otherwise,
+    since each entry is a sum of products.  The column is cleared by L,
+    the lcm of its denominators, and list l is scaled by D^(K - k_l) (K
+    the largest monomial degree, k_l that of monomial l), so every
+    condition is L * D^K times the rational one: an integer over Q, a
+    polynomial C in Z[q] over Q(q).  C is decided at q = 2^B (Kronecker
+    substitution).  With a_le the cleared coefficients and w = N at
+    integer points, 1 otherwise,
       ||C||_1 <= norm * sum_l ||D||_1^(K - k_l) * sum_e ||a_le||_1 * w^e,
     and 2^(B-1) above that bound makes C(2^B) zero exactly when C is and
     gives C back from its balanced base-2^B digits.  As norm >= 1, no
     scaled coefficient vanishes at 2^B either, so series valuations
-    hold.  B is rounded up to a power of two, so few builds serve a schema.
+    hold.  B is rounded up to a power of two, so few builds serve a
+    schema; the store keeps each schema's norm and builds.
     """
-    store, norm, built = exact
+    if schema not in store.schemas:
+        norm = None
+        if store.q:
+            streams = check_images([sum(map(abs, t)) for t in store.nums], schema, ZZ, 1)[0]
+            norm = max(1, *(max(s) for s in streams))
+        store.schemas[schema] = norm, {}
+    norm, built = store.schemas[schema]
     D = store.den
     K = max(mo.degree for mo in schema.monomials)
-    flat, L = _clear([c for cs in col for c in cs], norm is not None)
+    flat, L = _clear([c for cs in col for c in cs], store.q)
     it = iter(flat)
     nums = [[next(it) for _ in cs] for cs in col]
     x = None
-    if norm is not None:
+    if store.q:
         w = len(store.nums) if schema.points_kind == "integer" else 1
         d1 = sum(map(abs, D))
         bound = norm * sum(d1 ** (K - mo.degree) * sum(sum(map(abs, a)) * w**e for e, a in enumerate(cs))
@@ -354,23 +350,18 @@ def _exact_failure(col, schema: Schema, exact):
     return fail[0], RatPoly.make(_balanced_digits(fail[1], B), L)
 
 
-def filter_interpolating(columns, schema: Schema, terms, check_extra_values: bool = True, exact=None):
-    """Keep solution columns that annihilate every supplied term.
+def filter_interpolating(columns, schema: Schema, store: _TermImages):
+    """Keep solution columns that annihilate every term of the store.
 
     Rejected basis columns are additionally retried pairwise: when two
     columns first fail at the same condition, the combination cancelling
     that condition is tested in full.  A modular basis can split one
     interpolating solution across two non-interpolating basis vectors;
-    the pairwise combination recovers it.  `exact` is the output of
-    _exact_images, built here when not given.
+    the pairwise combination recovers it.
     """
-    if not check_extra_values:
-        return list(columns)
-    if exact is None:
-        exact = _exact_images(_TermImages(terms, schema.q), schema)
     passed, rejected = [], []
     for col in columns:
-        fail = _exact_failure(col, schema, exact)
+        fail = _exact_failure(col, schema, store)
         if fail is None:
             passed.append(col)
         else:
@@ -379,7 +370,7 @@ def filter_interpolating(columns, schema: Schema, terms, check_extra_values: boo
         if fi[0] != fj[0]:
             continue
         combo = [psub(pscale(a, fj[1], QQ), pscale(b, fi[1], QQ), QQ) for a, b in zip(ci, cj)]
-        if any(combo) and _exact_failure(combo, schema, exact) is None:
+        if any(combo) and _exact_failure(combo, schema, store) is None:
             passed.append(combo)
     return passed
 
@@ -387,17 +378,19 @@ def filter_interpolating(columns, schema: Schema, terms, check_extra_values: boo
 def check_deterministic(result: GuessResult, terms) -> bool:
     """Exact check of the equation against all checkable conditions."""
     schema = result.schema
-    terms = _coerce_terms(terms, schema.q)
-    return _exact_failure(result.coeffs, schema, _exact_images(_TermImages(terms, schema.q), schema)) is None
+    return _exact_failure(result.coeffs, schema, _TermImages(_coerce_terms(terms, schema.q), schema.q)) is None
 
 
 def check_monte_carlo(result: GuessResult, terms, trials: int = 3, seed: int = 0) -> bool:
     """Modular spot check at fresh primes (and fresh q points in q mode).
 
     False is conclusive; True only says no counterexample was found.
+    The terms and the flattened coefficients each enter Z_p through a
+    _TermImages; a key where either has a vanishing denominator is skipped.
     """
     schema = result.schema
-    terms = _coerce_terms(terms, schema.q)
+    store = _TermImages(_coerce_terms(terms, schema.q), schema.q)
+    coeffs = _TermImages([c for cs in result.coeffs for c in cs], schema.q)
     rng = random.Random(seed)
     used: set[int] = set()
     done = 0
@@ -409,11 +402,12 @@ def check_monte_carlo(result: GuessResult, terms, trials: int = 3, seed: int = 0
         fp = ModPrime(p)
         q_point = rng.randrange(1, p) if schema.q else None
         try:
-            streams, points = check_images(terms, schema, fp, q_point)
-            coeffs = [[_to_field(c, fp, q_point) for c in cs] for cs in result.coeffs]
+            values, memo = store.modular(fp, q_point)
+            flat = iter(coeffs.modular(fp, q_point)[0])
         except BadModulus:
             continue
-        if _first_failure(coeffs, schema, streams, points, fp) is not None:
+        streams, points = check_images(values, schema, fp, q_point, memo=memo)
+        if _first_failure([[next(flat) for _ in cs] for cs in result.coeffs], schema, streams, points, fp) is not None:
             return False
         done += 1
     return done >= trials
@@ -421,10 +415,6 @@ def check_monte_carlo(result: GuessResult, terms, trials: int = 3, seed: int = 0
 
 # ---------------------------------------------------------------------------
 # the search
-
-
-def _lift_options(opts: Options) -> LiftOptions:
-    return LiftOptions(seed=opts.seed, debug=_dbg if opts.debug else None)
 
 
 def _make_builder(store: _TermImages, schema: Schema):
@@ -496,6 +486,7 @@ def _search(store: _TermImages, terms, klass: str, opts: Options, q: bool) -> li
     scored: list[tuple[tuple, GuessResult]] = []
     best_budget: int | None = None
     serial = itertools.count()
+    lift_opts = LiftOptions(seed=opts.seed, debug=_dbg if opts.debug else None)
     for m in itertools.count(2):
         if best_budget is not None and m > best_budget:
             break  # a schema of size m needs at least m coefficients
@@ -514,24 +505,21 @@ def _search(store: _TermImages, terms, klass: str, opts: Options, q: bool) -> li
         if opts.debug:
             _dbg(f"{klass} m={m} sigma={sigma} unknowns={total} vectors={len(vectors)}")
         builder = _make_builder(store, schema)
-        exact = None  # built on the first candidate that needs checking
         verdicts: dict = {}  # lifted columns -> filter_interpolating output
         for bounds in vectors:
             if opts.debug:
                 _dbg(f"  bounds {bounds}")
             try:
-                lifted = do_solve(builder, list(bounds), domain, _lift_options(opts))
+                lifted = do_solve(builder, list(bounds), domain, lift_opts)
             except NoSolution:
                 continue
-            if exact is None:
-                exact = _exact_images(store, schema)
             key = tuple(tuple(map(tuple, col)) for col in lifted.columns)
             if key not in verdicts:
-                verdicts[key] = filter_interpolating(lifted.columns, schema, terms, opts.check_extra_values, exact)
-            cols = verdicts[key]
-            for col in cols:
+                verdicts[key] = (filter_interpolating(lifted.columns, schema, store)
+                                 if opts.check_extra_values else lifted.columns)
+            for col in verdicts[key]:
                 if opts.check == "deterministic":
-                    if not opts.check_extra_values and _exact_failure(col, schema, exact) is not None:
+                    if not opts.check_extra_values and _exact_failure(col, schema, store) is not None:
                         continue
                     checked = "deterministic"
                 elif opts.check == "montecarlo":

@@ -3,7 +3,7 @@
 Solves a Hermite-Pade problem with exact rational (or rational-function)
 data by solving modular images and reconstructing:
 
-  outer level   fresh 31-bit primes; per-prime solution vectors are
+  outer level   31-bit primes; per-prime solution vectors are
                 combined by Chinese remaindering into one accumulator
                 with a shared modulus and lifted back to Q by balanced
                 rational reconstruction;
@@ -24,9 +24,10 @@ reproduces it exactly.
 Most solves of a search end in NoSolution, so that outcome is kept cheap:
 on the first image of a level the order basis stops as soon as its
 defects, already the normal-form ones (the basis stays in weak Popov
-form), leave no column that can fit, and the rational domain draws
-its primes from a shared list per (seed, bits) instead of re-sampling
-the same sequence per solve.
+form), leave no column that can fit, and both domains draw their
+primes, after any forced ones, from a shared list per (seed, bits)
+instead of re-sampling the same sequence per solve; q mode's rng draws
+evaluation points only.
 """
 
 from __future__ import annotations
@@ -60,14 +61,14 @@ ProblemBuilder = Callable[[ModPrime, int | None], OrderProblem]
 
 
 PRIME_BITS = 31
+MAX_PRIMES = 10_000  # outer primes per solve
 INNER_EXPECTED_DEGREE = 32  # caps inner points at 4*(this+1)
 
 
 @dataclass
 class LiftOptions:
     seed: int = 0
-    max_primes: int = 10_000
-    primes: list[int] | None = None  # consumed before random sampling (tests)
+    primes: list[int] | None = None  # consumed before the shared list (tests)
     debug: Callable[[str], None] | None = None
 
 
@@ -286,25 +287,17 @@ def do_solve(builder: ProblemBuilder, bounds: list[int], domain: str = "rational
     if domain not in ("rational", "polyrational"):
         raise ValueError(f"unknown domain {domain!r}")
     opts = opts or LiftOptions()
-    # q mode draws evaluation points from the same rng, so it samples afresh
-    shared = opts.primes is None and domain == "rational"
-    rng = None if shared else random.Random(opts.seed)
+    rng = random.Random(opts.seed) if domain == "polyrational" else None  # q points
     state = LiftState(level="prime")
-    forced = iter(opts.primes) if opts.primes is not None else iter(())
+    forced = opts.primes or []
     used: set[int] = set()
     pending = None  # (columns, exact flat vector) awaiting a confirming prime
-    for i in range(opts.max_primes):
-        if shared:
-            fp = _nth_field(opts.seed, PRIME_BITS, i)
-        else:
-            p = next(forced, None)
-            if p is None:
-                p = sample_prime(PRIME_BITS, exclude=used, rng=rng)
-            if p in used:
-                continue
-            used.add(p)
-            fp = ModPrime(p)
+    for i in range(MAX_PRIMES):
+        fp = ModPrime(forced[i]) if i < len(forced) else _nth_field(opts.seed, PRIME_BITS, i - len(forced))
         p = fp.p
+        if p in used:
+            continue
+        used.add(p)
         try:
             if domain == "polyrational":
                 inner = _inner_solve(builder, bounds, fp, opts, rng, state)
@@ -352,4 +345,4 @@ def do_solve(builder: ProblemBuilder, bounds: list[int], domain: str = "rational
             _emit(state, opts, "recon", p, state.good_count, vec is not None)
             if vec is not None:
                 pending = (_assemble(domain, state.record, bounds, state.shape, vec), vec)
-    raise ReconstructionAborted(f"no stable reconstruction after {opts.max_primes} primes")
+    raise ReconstructionAborted(f"no stable reconstruction after {MAX_PRIMES} primes")

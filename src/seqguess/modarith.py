@@ -15,8 +15,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import BadModulus
 
 MAX_PRIME_BITS = 31
@@ -117,8 +115,8 @@ def reduce_scalar(x, fp: ModPrime) -> int:
     Raises:
         BadModulus: p divides the denominator of x.
     """
-    if isinstance(x, (int, np.integer)):
-        return int(x) % fp.p
+    if isinstance(x, int):
+        return x % fp.p
     x = Fraction(x)
     den = x.denominator % fp.p
     if den == 0:

@@ -13,9 +13,11 @@ The guessed equation is a linear combination of the schema's monomials
 with polynomial coefficients; finding it is a Hermite-Pade problem whose
 input streams are the monomial values (sequence classes) or monomial
 series coefficients (series classes).  One builder, check_images, makes
-them: modulo a prime for the solver (cut to the shared order by
-build_images) or exactly, at each monomial's natural length, for
-verification.  Shared monomial prefixes are multiplied once (cauchy_plan).
+them from terms already in the field: modulo a prime for the solver (cut
+to the shared order by build_images) or over the integers, at each
+monomial's natural length, for verification.  Shared monomial prefixes
+are multiplied once (cauchy_plan).  This module only computes; the terms
+enter the field in guess._TermImages.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ import itertools
 import types
 from dataclasses import dataclass
 
-from .errors import BadModulus, SchemaExhausted
-from .modarith import ModPrime, reduce_scalar
-from .rings import RatPoly, pmul_trunc
+from .errors import SchemaExhausted
+from .rings import pmul_trunc
 
 # ---------------------------------------------------------------------------
 # integer partitions in the fixed enumeration order
@@ -262,26 +263,6 @@ class OrderProblem:
     sigma: int
 
 
-def _to_field(term, F, q_point):
-    if isinstance(F, ModPrime):
-        if isinstance(term, RatPoly):
-            if q_point is None:
-                raise ValueError("rational-function terms need a q evaluation point")
-
-            def ev(coeffs):
-                acc = 0
-                for c in reversed(coeffs):
-                    acc = (acc * q_point + reduce_scalar(c, F)) % F.p
-                return acc
-
-            den = ev(term.den)
-            if den == 0:
-                raise BadModulus(f"term denominator vanishes at q={q_point} mod {F.p}")
-            return ev(term.num) * F.inv(den) % F.p
-        return reduce_scalar(term, F)
-    return term  # exact fields take the terms as they are
-
-
 def _atom_stream(part: int, tag: str, terms, top: int, F, qpowers) -> list:
     """One copy of f at its natural length, capped at top entries."""
     if tag == "shift":
@@ -306,19 +287,19 @@ def _atom_stream(part: int, tag: str, terms, top: int, F, qpowers) -> list:
 def check_images(terms, schema: Schema, F, q_point=None, cut=None, memo=None):
     """Every schema monomial evaluated against the terms, in the field F.
 
-    F is a ModPrime (terms reduced once, all further work modular) or
-    exact, for verification: ZZ on integer terms or QQ.  q_point is the
-    value of q in F, for every F: a residue modulo the prime, or the
-    integer q = 2^B of the exact check.  Returns (streams, points),
-    points None for series.
+    The terms are already in F, a ModPrime or an exact field (ZZ for
+    the exact check), and q_point is the value of q in F: a residue
+    modulo the prime, or the integer q = 2^B of the exact check;
+    guess._TermImages makes both.  Returns (streams, points), points
+    None for series.
 
     Stream l has its monomial's natural length len(terms) - loss_l and
     the points cover all len(terms) indices, which exposes every
     condition the data can express; `cut` caps every length at cut.
     Atoms, the steps of the shared-subproduct plan and the power
     sequences of q are kept in `memo` at natural length and cut when
-    read.  Passing one memo (with the terms already in F) to every
-    schema of a search computes each once.  For shift and derivative
+    read.  Passing one memo to every schema of a search computes each
+    once.  For shift and derivative
     tags the last part of a sorted prefix names the shortest atom, so
     every product takes its length from that atom.
     """
@@ -328,9 +309,7 @@ def check_images(terms, schema: Schema, F, q_point=None, cut=None, memo=None):
     top = N if cut is None else min(N, cut)
     if q_point is None and (schema.q or any(mo.tag == "qdilation" or mo.mixed for mo in schema.monomials)):
         raise ValueError("schema needs a q value: pass q_point")
-    if memo is None:
-        memo = {}
-        terms = [_to_field(t, F, q_point) for t in terms]
+    memo = {} if memo is None else memo
     series = schema.series
 
     def qpowers(j: int) -> list:

@@ -14,7 +14,6 @@ from seqguess.guess import (
     Options,
     _TermImages,
     _exact_failure,
-    _exact_images,
     check_deterministic,
     GuessResult,
     filter_interpolating,
@@ -64,10 +63,10 @@ def test_change_of_the_last_term_alone_is_rejected(klass, terms, kw, q):
     terms = [RatPoly.coerce(t) if q else F(t) for t in terms]
     changed = terms[:-1] + [terms[-1] + 1]
     assert check_deterministic(res, terms)
-    assert filter_interpolating([res.coeffs], res.schema, terms) == [res.coeffs]
+    assert filter_interpolating([res.coeffs], res.schema, _TermImages(terms, q)) == [res.coeffs]
     assert check_deterministic(res, terms[:-1])  # only the last term can refute it
     assert not check_deterministic(res, changed)
-    assert filter_interpolating([res.coeffs], res.schema, changed) == []
+    assert filter_interpolating([res.coeffs], res.schema, _TermImages(changed, q)) == []
 
 
 def test_all_zero_list_counts_as_unused_in_a_series():
@@ -171,7 +170,7 @@ def test_integer_check_matches_fraction_reference(case):
     schema, terms, col = case
     assert schema.monomials[0].parts == ()
     want = first_failure_reference(col, schema, terms)
-    assert _exact_failure(col, schema, _exact_images(_TermImages(terms, schema.q), schema)) == want
+    assert _exact_failure(col, schema, _TermImages(terms, schema.q)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +225,7 @@ def test_kronecker_check_matches_ratpoly_reference(case):
     schema, terms, col = case
     assert schema.q and schema.monomials[0].parts == ()
     want = first_failure_reference(col, schema, terms, QQ_T, QPARAM)
-    assert _exact_failure(col, schema, _exact_images(_TermImages(terms, schema.q), schema)) == want
+    assert _exact_failure(col, schema, _TermImages(terms, schema.q)) == want
 
 
 def test_condition_vanishing_at_two_to_the_twenty_is_rejected():
@@ -237,5 +236,5 @@ def test_condition_vanishing_at_two_to_the_twenty_is_rejected():
     col = [[RatPoly.const(-1)] * 3 + [RatPoly.make([2**20 - 1, -1])], [RatPoly.const(1)]]
     want = first_failure_reference(col, schema, terms, QQ_T, QPARAM)
     assert want == (3, RatPoly.make([2**20, -1]))
-    assert _exact_failure(col, schema, _exact_images(_TermImages(terms, schema.q), schema)) == want
-    assert filter_interpolating([col], schema, terms) == []
+    assert _exact_failure(col, schema, _TermImages(terms, schema.q)) == want
+    assert filter_interpolating([col], schema, _TermImages(terms, True)) == []

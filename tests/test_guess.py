@@ -8,16 +8,19 @@ import sys
 import threading
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import seqguess
+from corpus import _Q_BINOMIAL, _Q_FACTORIAL, _Q_INTS
 from oracles import gen_prec_terms
 from seqguess import models
 from seqguess.modarith import ModPrime
 from seqguess.errors import UsageError
 from seqguess.guess import (
     Options,
+    _TermImages,
     check_deterministic,
     check_monte_carlo,
     enumerate_degree_vectors,
@@ -281,7 +284,7 @@ def test_filter_interpolating_recovers_pairwise_combination():
     true = [[F(0), F(0), F(-1)], [F(1)]]
     bad1 = [[F(1), F(0), F(-1)], [F(1)]]  # fails at n=0 with residual 1
     bad2 = [[F(2), F(0), F(-1)], [F(1)]]  # fails at n=0 with residual 2
-    kept = filter_interpolating([bad1, bad2], schema, terms)
+    kept = filter_interpolating([bad1, bad2], schema, _TermImages(terms, False))
     assert len(kept) == 1
     c0, c1 = kept[0]
     assert c1 and [v / c1[0] for v in c0] == [0, 0, -1]
@@ -292,10 +295,21 @@ def test_filter_interpolating_drops_unfixable():
     terms = [F(j * j) for j in range(6)]
     bad1 = [[F(1), F(0), F(-1)], [F(1)]]  # first fails at n=0
     bad2 = [[F(0), F(1), F(-1)], [F(1)]]  # first fails at n=1
-    assert filter_interpolating([bad1], schema, terms) == []
+    store = _TermImages(terms, False)
+    assert filter_interpolating([bad1], schema, store) == []
     # different first-failure indices: no pairwise rescue applies
-    assert filter_interpolating([bad1, bad2], schema, terms) == []
-    assert filter_interpolating([bad1], schema, terms, check_extra_values=False) == [bad1]
+    assert filter_interpolating([bad1, bad2], schema, store) == []
+
+
+def test_check_extra_values_false_skips_the_filter(monkeypatch):
+    """An unchecked search without extra values keeps a lifted column that
+    the filter would drop."""
+    terms = [j * j for j in range(6)]
+    bad1 = [[F(1), F(0), F(-1)], [F(1)]]  # fails at n=0
+    guess_mod = importlib.import_module("seqguess.guess")
+    monkeypatch.setattr(guess_mod, "do_solve", lambda *args: SimpleNamespace(columns=[bad1]))
+    assert [r.coeffs for r in guess_class(terms, "rat", check="none", check_extra_values=False)] == [bad1]
+    assert guess_class(terms, "rat", check="none") == []
 
 
 def test_check_deterministic_distinguishes_extensions():
@@ -314,6 +328,22 @@ def test_check_monte_carlo_modes():
     assert got and got[0].checked == "montecarlo"
     got = guess_alg(catalan, check="none")
     assert got and got[0].checked == "unchecked"
+
+
+@pytest.mark.parametrize("klass, terms, kw", [
+    ("rat", _Q_BINOMIAL, {}),
+    ("prec", _Q_FACTORIAL, {"max_mixed_degree": 2, "homogeneous": True}),
+    ("pade", _Q_INTS, {}),
+], ids=["rat", "prec-mixed", "pade"])
+def test_check_monte_carlo_in_q_mode(klass, terms, kw):
+    """Monte Carlo at random primes and q points accepts a planted q-mode
+    result on its terms, refutes it once the last term alone changes, and
+    agrees with the exact check on both."""
+    res = guess_class(terms, klass, q=True, **kw)[0]
+    changed = terms[:-1] + [terms[-1] + 1]
+    for data, want in ((terms, True), (changed, False)):
+        assert check_deterministic(res, data) is want
+        assert check_monte_carlo(res, data) is want
 
 
 def test_custom_names():

@@ -214,3 +214,19 @@ def test_prime_list_is_thread_safe():
     for t in threads:
         t.join()
     assert seen[0] == seen[1] == list(_fresh_primes(seed, count))
+
+
+def test_q_mode_solves_at_the_shared_primes_in_order():
+    """A polyrational solve takes its primes from the shared list, in order;
+    its rng draws only the evaluation points."""
+    seed, seen = 9, []
+
+    def build(fp, t_point):
+        if fp.p not in seen:
+            seen.append(fp.p)
+        stream = [(t_point + j) % fp.p for j in range(3)]
+        return OrderProblem(streams=[[1, 1, 1], stream], points=[0, 1, 2], sigma=3)
+
+    do_solve(build, [2, 1], "polyrational", LiftOptions(seed=seed))
+    assert len(seen) >= 2
+    assert seen == [lift._nth_field(seed, 31, i).p for i in range(len(seen))]

@@ -183,7 +183,7 @@ def test_build_images_commutes_with_reduction():
     ]:
         schema = build_schema(klass, opts, 3)
         exact = build_images(terms, schema, QQ)
-        modular = build_images(terms, schema, fp)
+        modular = build_images(_TermImages(terms, False).modular(fp, None)[0], schema, fp)
         assert modular.sigma == exact.sigma
         for se, sm in zip(exact.streams, modular.streams):
             assert [reduce_scalar(v, fp) for v in se] == list(map(int, sm))
@@ -198,17 +198,9 @@ def test_build_images_q_evaluation_commutes():
     terms = [RatPoly.make([rng.randint(-5, 5) for _ in range(3)]) for _ in range(6)]
     schema = build_schema("rat", Options(), 2, q=True)
     exact = build_images(terms, schema, QQ_T, QPARAM)
-    modular = build_images(terms, schema, fp, q_point=tau)
+    modular = build_images(_TermImages(terms, True).modular(fp, tau)[0], schema, fp, q_point=tau)
     for se, sm in zip(exact.streams, modular.streams):
         assert [reduce_scalar(ratpoly_eval(v, F(tau)), fp) for v in se] == list(map(int, sm))
-
-
-def test_to_field_bad_modulus_at_vanishing_denominator():
-    fp = ModPrime(10007)
-    schema = build_schema("rat", Options(), 2, q=True)
-    pole = RatPoly.make([1], [-1, 1])  # 1/(q-1)
-    with pytest.raises(BadModulus):
-        build_images([pole, pole, pole], schema, fp, q_point=1)
 
 
 def test_check_images_natural_lengths():
@@ -245,18 +237,23 @@ BUILDER_CASES = [
 
 
 def _builder_fields(q: bool, rng):
-    """(F, q_point, exact terms, how a term maps into F, q value in F)."""
+    """(F, q_point, exact terms, the terms in F, how a term maps into F, q value in F).
+
+    Over Z_p the terms in F are the residues of _TermImages.modular, and
+    the reference maps each term on its own."""
     fp = ModPrime(10007)
     tau = 5
     if q:
         terms = [RatPoly.make([rng.randint(-4, 4) for _ in range(2)], [rng.randint(1, 3), 1]) for _ in range(7)]
-        yield QQ_T, QPARAM, terms, lambda t: t, QPARAM
-        yield fp, tau, terms, lambda t: reduce_scalar(ratpoly_eval(t, F(tau)), fp), tau
+        yield QQ_T, QPARAM, terms, terms, lambda t: t, QPARAM
+        residues = _TermImages(terms, True).modular(fp, tau)[0]
+        yield fp, tau, terms, residues, lambda t: reduce_scalar(ratpoly_eval(t, F(tau)), fp), tau
     else:
         terms = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(8)]
-        yield QQ, None, terms, F, None
-        yield fp, None, terms, lambda t: reduce_scalar(t, fp), None
-        yield ZZ, None, [rng.randint(-99, 99) for _ in range(8)], int, None
+        yield QQ, None, terms, terms, F, None
+        yield fp, None, terms, _TermImages(terms, False).modular(fp, None)[0], lambda t: reduce_scalar(t, fp), None
+        ints = [rng.randint(-99, 99) for _ in range(8)]
+        yield ZZ, None, ints, ints, int, None
 
 
 @pytest.mark.parametrize("klass,opts,q", BUILDER_CASES)
@@ -266,10 +263,10 @@ def test_builder_matches_naive_products(klass, opts, q):
     monos = list(schema_stream(klass, opts, q))
     schema = build_schema(klass, opts, len(monos), q)
     assert klass == "rat" or any(mo.degree >= 2 for mo in schema.monomials)
-    for field, q_point, terms, into, qval in _builder_fields(q, random.Random(len(monos))):
+    for field, q_point, terms, values, into, qval in _builder_fields(q, random.Random(len(monos))):
         ref_streams, ref_points = naive_images([into(t) for t in terms], schema, field, qval)
-        assert check_images(terms, schema, field, q_point) == (ref_streams, ref_points)
-        prob = build_images(terms, schema, field, q_point)
+        assert check_images(values, schema, field, q_point) == (ref_streams, ref_points)
+        prob = build_images(values, schema, field, q_point)
         sigma = len(terms) - schema.loss
         assert prob.sigma == sigma
         assert prob.streams == [s[:sigma] for s in ref_streams]
@@ -313,10 +310,10 @@ def test_term_store_images_equal_fresh_builds(klass, opts, q):
             assert check_images(exact_terms, schema, ZZ, x, memo=memo) == check_images(fresh, schema, ZZ, x)
 
 
-def _raises_bad_modulus(build) -> bool:
+def _raises_bad_modulus(build, errors=BadModulus) -> bool:
     try:
         build()
-    except BadModulus:
+    except errors:
         return True
     return False
 
@@ -329,9 +326,12 @@ def _raises_bad_modulus(build) -> bool:
     (True, [RatPoly.const(1), RatPoly.make([1, F(1, 10007)]), RatPoly.const(2)], 3, True),  # p divides a coefficient's denominator
 ])
 def test_term_store_bad_modulus_matches_raw_build(q, terms, tau, bad):
+    """The store raises BadModulus exactly where reducing each term on its
+    own meets a denominator divisible by p (or a pole at q = tau)."""
     fp = ModPrime(10007)
     schema = build_schema("rat", Options(), 2, q=q)
-    assert _raises_bad_modulus(lambda: build_images(terms, schema, fp, tau)) is bad
+    assert _raises_bad_modulus(lambda: [_store_into(fp, tau)(t) for t in terms], (BadModulus, ZeroDivisionError)) is bad
+    assert _raises_bad_modulus(lambda: build_images(_TermImages(terms, q).modular(fp, tau)[0], schema, fp, tau)) is bad
     assert _raises_bad_modulus(lambda: _make_builder(_TermImages(terms, q), schema)(fp, tau)) is bad
 
 
