@@ -31,10 +31,17 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import BadModulus, NoSolution, SchemaExhausted, UsageError
+from .hermite_pade import remainder_rows
 from .lift import LiftOptions, do_solve
 from .modarith import ModPrime, sample_prime
 from .models import CLASS_NAMES, Schema, build_images, build_schema, check_images
 from .rings import QQ, ZZ, RatPoly, clear_denominators, peval, pmul, pmul_trunc, pscale, psub
+
+
+# A pair schema shares one remainder sequence per image among its degree
+# splits when it has at most this many conditions per split; above that,
+# one numpy order basis per split is cheaper (measured).
+PAIR_SIGMA_PER_SPLIT = 5
 
 
 @dataclass
@@ -249,9 +256,10 @@ class _TermImages:
     The one way an exact value enters Z_p or ZZ: the terms of a search
     or check, or a candidate's flattened coefficients (Monte Carlo).
     Each (prime, q point) and each exact q value keeps the values in its
-    field with one check_images memo, so every schema size and degree
-    vector of the search reads the same residues, atoms and products;
-    each schema keeps the (norm, builds) of _exact_failure.
+    field with one check_images memo, so every schema size, degree
+    vector and Monte Carlo check of the search reads the same residues,
+    atoms and products; each schema keeps the (norm, builds) of
+    _exact_failure, and each candidate column its own store.
     """
 
     def __init__(self, terms, q: bool):
@@ -260,6 +268,14 @@ class _TermImages:
         self.by_prime: dict = {}  # p -> the Z[q] lists mod p
         self.memos: dict = {}  # (p, point) -> (residues, memo), None where D vanishes; q value -> (ints, memo)
         self.schemas: dict = {}  # schema -> (norm, builds) of _exact_failure
+        self.columns: dict = {}  # candidate column -> store of its flattened coefficients
+
+    def column(self, col) -> "_TermImages":
+        """The store of a candidate column's flattened coefficients, made once per column."""
+        key = tuple(map(tuple, col))
+        if key not in self.columns:
+            self.columns[key] = _TermImages([c for cs in col for c in cs], self.q)
+        return self.columns[key]
 
     def modular(self, fp: ModPrime, point):
         key = (fp.p, point)
@@ -320,7 +336,8 @@ def _exact_failure(col, schema: Schema, store: _TermImages):
     norm, built = store.schemas[schema]
     D = store.den
     K = max(mo.degree for mo in schema.monomials)
-    flat, L = _clear([c for cs in col for c in cs], store.q)
+    cleared = store.column(col)
+    flat, L = cleared.nums, cleared.den
     it = iter(flat)
     nums = [[next(it) for _ in cs] for cs in col]
     x = None
@@ -389,8 +406,13 @@ def check_monte_carlo(result: GuessResult, terms, trials: int = 3, seed: int = 0
     _TermImages; a key where either has a vanishing denominator is skipped.
     """
     schema = result.schema
-    store = _TermImages(_coerce_terms(terms, schema.q), schema.q)
-    coeffs = _TermImages([c for cs in result.coeffs for c in cs], schema.q)
+    return _spot_check(result, _TermImages(_coerce_terms(terms, schema.q), schema.q), trials, seed)
+
+
+def _spot_check(result: GuessResult, store: _TermImages, trials: int = 3, seed: int = 0) -> bool:
+    """check_monte_carlo on the terms of `store`, a search's own store included."""
+    schema = result.schema
+    coeffs = store.column(result.coeffs)
     rng = random.Random(seed)
     used: set[int] = set()
     done = 0
@@ -417,11 +439,12 @@ def check_monte_carlo(result: GuessResult, terms, trials: int = 3, seed: int = 0
 # the search
 
 
-def _make_builder(store: _TermImages, schema: Schema):
+def _make_builder(store: _TermImages, schema: Schema, pair: bool = False):
     """Image builder for one schema, on the search's residues and memos.
 
     Every degree vector of the schema starts from the same primes (and,
-    in q mode, the same points), so each is cut to the schema once.
+    in q mode, the same points), so each is cut to the schema once, and
+    for a `pair` schema its remainder sequence is run once.
     """
     images: dict = {}
 
@@ -429,7 +452,10 @@ def _make_builder(store: _TermImages, schema: Schema):
         key = (fp.p, t_point)
         if key not in images:
             terms, memo = store.modular(fp, t_point)
-            images[key] = build_images(terms, schema, fp, q_point=t_point, memo=memo)
+            prob = build_images(terms, schema, fp, q_point=t_point, memo=memo)
+            if pair:
+                prob.rows = remainder_rows(prob.streams[1], prob.sigma, fp, prob.points)
+            images[key] = prob
         return images[key]
 
     return builder
@@ -504,7 +530,7 @@ def _search(store: _TermImages, terms, klass: str, opts: Options, q: bool) -> li
         vectors = enumerate_degree_vectors(total, m, cap, all_deg)
         if opts.debug:
             _dbg(f"{klass} m={m} sigma={sigma} unknowns={total} vectors={len(vectors)}")
-        builder = _make_builder(store, schema)
+        builder = _make_builder(store, schema, schema.pair and sigma <= PAIR_SIGMA_PER_SPLIT * len(vectors))
         verdicts: dict = {}  # lifted columns -> filter_interpolating output
         for bounds in vectors:
             if opts.debug:
@@ -527,7 +553,7 @@ def _search(store: _TermImages, terms, klass: str, opts: Options, q: bool) -> li
                 else:
                     checked = "unchecked"
                 res = _make_result(col, schema, terms, opts, checked)
-                if opts.check == "montecarlo" and not check_monte_carlo(res, terms, seed=opts.seed):
+                if opts.check == "montecarlo" and not _spot_check(res, store, seed=opts.seed):
                     continue
                 b = _budget(res.coeffs, m, all_deg)
                 scored.append(((b, m, next(serial)), res))

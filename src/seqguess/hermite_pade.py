@@ -37,16 +37,19 @@ with w = (max degree) + 2: earlier residuals are already zero, and so
 are the coefficients past the maximum degree.  Every entry is a residue
 below p < 2**31, so a product of two residues is below 2**62; the sum is
 reduced after every single multiply-add and never overflows int64.
+
+For two streams (1, s), one extended Euclid run serves every degree
+split (remainder_rows); the search uses it when a schema has few
+conditions per split (guess.PAIR_SIGMA_PER_SPLIT).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BadModulus, NoSolution
 from .modarith import ModPrime
+from .rings import LagrangeAccumulator, lagrange_add, ptrim, remainder_sequence
 
 
 @dataclass
@@ -93,6 +96,7 @@ def sigma_basis(
         raise ValueError("one degree bound per stream required")
     if any(len(s) != sigma for s in streams):
         raise ValueError("each stream must provide exactly sigma residues")
+    import numpy as np  # only here: a search that builds no order basis never loads numpy
     p = fp.p
     cap = sigma + 1  # a degree grows by at most one per step
     # column-major, so that every window M[:, a:b] is one contiguous block
@@ -152,3 +156,23 @@ def sigma_basis(
     lengths = ((block != 0) * np.arange(1, hi + 2)[:, None, None]).max(axis=0).T
     coeffs = block[: lengths.max()].transpose(2, 1, 0)
     return SigmaBasisResult(coeffs=coeffs, degrees=lengths - 1, defects=defects, bounds=list(bounds), fp=fp)
+
+
+def remainder_rows(stream: list, sigma: int, fp: ModPrime, points: list[int] | None = None) -> list:
+    """Order basis of the streams (1, stream) for every degree split: the
+    rows of remainder_sequence on (M, G), any two consecutive ones a basis
+    of {p_0 = p_1 * G mod M} (the Pade table; von zur Gathen-Gerhard
+    5.7-5.9).  Series form: M = x^sigma, G = -stream; sequence form:
+    M = prod (x - x_j), G the interpolant of -stream, and colliding points
+    raise BadModulus, as in sigma_basis."""
+    p = fp.p
+    if points is None:
+        M, G = [0] * sigma + [1], ptrim([-v % p for v in stream], fp)
+    else:
+        if len({x % p for x in points}) != sigma:
+            raise BadModulus(f"sample points collide mod {p}")
+        acc = LagrangeAccumulator(fp)
+        for x, v in zip(points, stream):
+            lagrange_add(acc, x, -v)
+        M, G = acc.node, acc.to_dense()
+    return list(remainder_sequence(M, G, fp))

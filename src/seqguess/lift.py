@@ -12,14 +12,17 @@ data by solving modular images and reconstructing:
                 interpolated and lifted to ratios of polynomials in t.
 
 Each image yields a shape fingerprint, read off its order basis, and
-its solution columns in normal form (see sigma_normalize).  Unlucky
+its solution columns in normal form (see sigma_normalize).  An image
+that carries a remainder sequence (OrderProblem.rows) needs no basis:
+every degree split reads its normal form off two of its rows.  Unlucky
 moduli are detected by comparing fingerprints: a mismatch marks either
 the new image or everything accumulated so far as bad.  Once bad images
 outnumber the good ones by more than two, the prime level drops its
 state and adopts the current image, while the point level gives up on
 its prime; so one unlucky first image costs a bounded number of solves.
 A reconstruction candidate is only returned after a fresh modulus
-reproduces it exactly.
+reproduces it exactly; it is reduced there with one inverse, cleared by
+the lcm of its denominators.
 
 Most solves of a search end in NoSolution, so that outcome is kept cheap:
 on the first image of a level the order basis stops as soon as its
@@ -41,7 +44,7 @@ from typing import Callable
 
 from .errors import BadModulus, CheckFailed, NoSolution, ReconstructionAborted
 from .hermite_pade import sigma_basis
-from .modarith import ModPrime, reduce_scalar, sample_prime
+from .modarith import ModPrime, sample_prime
 from .models import OrderProblem
 from .rings import (
     CrtAccumulator,
@@ -53,7 +56,7 @@ from .rings import (
     poly_rat_recon,
     rat_recon_vec,
 )
-from .sigma_normalize import ReductionRecord, compare_reductions, sigma_normalize
+from .sigma_normalize import ReductionRecord, compare_reductions, pair_normalize, sigma_normalize
 
 # builder(fp, t_point) -> OrderProblem: reduces the exact data mod fp
 # (specializing the parameter at t_point when there is one)
@@ -162,8 +165,11 @@ def _solve_image(builder: ProblemBuilder, bounds: list[int], fp: ModPrime, t_poi
     normal-form ones.
     """
     prob = builder(fp, t_point)
-    basis = sigma_basis(prob.streams, bounds, prob.sigma, fp, points=prob.points, need_solution=first)
-    record, columns = sigma_normalize(basis)
+    if prob.rows is not None:
+        record, columns = pair_normalize(prob.rows, bounds, fp)
+    else:
+        basis = sigma_basis(prob.streams, bounds, prob.sigma, fp, points=prob.points, need_solution=first)
+        record, columns = sigma_normalize(basis)
     flat: list[int] = []
     for col in columns:
         for comp, b in zip(col, bounds):
@@ -273,8 +279,15 @@ def _assemble(domain: str, record: ReductionRecord, bounds: list[int], shape: tu
     return columns
 
 
-def _reduce_flat(values, fp: ModPrime) -> list[int]:
-    return [reduce_scalar(v, fp) for v in values]
+def _reduce_flat(values: list[Fraction], fp: ModPrime) -> list[int]:
+    """Images in Z_p of a reconstructed vector, cleared by the lcm D of its
+    denominators; BadModulus when p divides D, i.e. some denominator."""
+    p = fp.p
+    den = math.lcm(*(v.denominator for v in values))
+    if den % p == 0:
+        raise BadModulus(f"{p} divides a denominator of the candidate")
+    inv = pow(den, -1, p)
+    return [v.numerator * (den // v.denominator) % p * inv % p for v in values]
 
 
 def do_solve(builder: ProblemBuilder, bounds: list[int], domain: str = "rational",

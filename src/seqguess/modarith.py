@@ -1,8 +1,8 @@
 """Machine-word prime-field arithmetic.
 
 Everything the modular layers touch lives here: a prime field whose
-elements are plain Python ints in [0, p), and the reduction
-homomorphism from exact rationals into the field.
+elements are plain Python ints in [0, p), and prime sampling.  Exact
+values enter a field in guess._TermImages and lift._reduce_flat.
 
 Primes are sampled with at most 31 bits so that a product of two
 residues stays below 2**62 and vectorized int64 arithmetic on residues
@@ -13,9 +13,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-
-from .errors import BadModulus
 
 MAX_PRIME_BITS = 31
 
@@ -107,19 +104,4 @@ class ModPrime:
 
     def from_int(self, n: int) -> int:
         return n % self.p
-
-
-def reduce_scalar(x, fp: ModPrime) -> int:
-    """Image of the rational x in Z_p.
-
-    Raises:
-        BadModulus: p divides the denominator of x.
-    """
-    if isinstance(x, int):
-        return x % fp.p
-    x = Fraction(x)
-    den = x.denominator % fp.p
-    if den == 0:
-        raise BadModulus(f"{fp.p} divides denominator of {x}")
-    return x.numerator % fp.p * pow(den, -1, fp.p) % fp.p
 

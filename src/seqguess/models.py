@@ -124,6 +124,12 @@ class Schema:
     def loss(self) -> int:
         return max((mo.loss for mo in self.monomials), default=0)
 
+    @property
+    def pair(self) -> bool:
+        """Streams (1, s): two monomials, the first the empty product without a q^(jn) factor."""
+        first = self.monomials[0]
+        return len(self.monomials) == 2 and not first.parts and not first.mixed
+
     def __len__(self) -> int:
         return len(self.monomials)
 
@@ -261,6 +267,7 @@ class OrderProblem:
     streams: list
     points: list | None  # None = confluent (series coefficients)
     sigma: int
+    rows: list | None = None  # streams (1, s): remainder_rows, shared by every degree split
 
 
 def _atom_stream(part: int, tag: str, terms, top: int, F, qpowers) -> list:

@@ -14,7 +14,8 @@ denominator, which is how both the exact check and the canonical
 rendering leave Q(q).
 
 Everything here is deliberately quadratic: schoolbook products, plain
-extended Euclid, incremental Newton interpolation.
+extended Euclid (remainder_sequence, for Cauchy interpolation and the
+order basis of two streams), incremental Newton interpolation.
 """
 
 from __future__ import annotations
@@ -116,13 +117,6 @@ def pscale(a: list, s, F) -> list:
     if F.is_zero(s):
         return []
     return ptrim([F.mul(x, s) for x in a], F)
-
-
-def pshift(a: list, k: int, F) -> list:
-    """Multiply by x**k."""
-    if not a:
-        return []
-    return [F.zero] * k + list(a)
 
 
 def pmul(a: list, b: list, F) -> list:
@@ -339,14 +333,17 @@ class LagrangeAccumulator:
         return len(self.points)
 
     def to_dense(self) -> list:
-        """Monomial-basis coefficients of the interpolant."""
-        fp = self.fp
-        out: list = []
-        basis = [1]
-        for c, x in zip(self.newton, self.points):
-            out = padd(out, pscale(basis, c, fp), fp)
-            basis = psub(pshift(basis, 1, fp), pscale(basis, x, fp), fp)
-        return out
+        """Monomial-basis coefficients of the interpolant (Horner on the Newton form)."""
+        p, out = self.fp.p, []
+        for c, x in zip(reversed(self.newton), reversed(self.points)):
+            out = _times_linear(out, x, p)
+            out[0] = (out[0] + c) % p
+        return ptrim(out, self.fp)
+
+
+def _times_linear(a: list, x: int, p: int) -> list:
+    """a * (t - x) mod p."""
+    return [(u - x * v) % p for u, v in zip([0, *a], [*a, 0])]
 
 
 def lagrange_add(acc: LagrangeAccumulator, point: int, value: int) -> LagrangeAccumulator:
@@ -363,7 +360,7 @@ def lagrange_add(acc: LagrangeAccumulator, point: int, value: int) -> LagrangeAc
         prod = prod * (point - x) % fp.p
     acc.newton.append(fp.div(value - cur, prod))
     acc.points.append(point)
-    acc.node = psub(pshift(acc.node, 1, fp), pscale(acc.node, point, fp), fp)
+    acc.node = _times_linear(acc.node, point, fp.p)
     return acc
 
 
@@ -422,13 +419,38 @@ def rat_recon_vec(images: list, modulus: int) -> list | None:
     return out
 
 
+def remainder_sequence(r0: list, r1: list, fp: ModPrime):
+    """Rows (r_i, t_i) of the extended Euclidean algorithm on (r0, r1) over Z_p.
+
+    Yields (r0, []), (r1, [1]), then one row per division up to the first
+    zero remainder.  Every row has r_i = t_i * r1 mod r0; when deg r1 <
+    deg r0, deg r_i falls and deg t_i rises strictly.  Rows are shared.
+    """
+    p = fp.p
+    t0, t1 = [], [1]
+    yield r0, t0
+    yield r1, t1
+    while r1:
+        n, inv = len(r1), pow(r1[-1], -1, p)
+        r, t = list(r0), t0 + [0] * (len(r0) - n + len(t1) - len(t0))
+        for k in range(len(r0) - n, -1, -1):  # r -= c x^k r1 and t -= c x^k t1
+            c = r[k + n - 1] * inv % p
+            if c:
+                r[k:k + n] = [(a - c * b) % p for a, b in zip(r[k:k + n], r1)]
+                t[k:k + len(t1)] = [(a - c * b) % p for a, b in zip(t[k:k + len(t1)], t1)]
+        del r[n - 1:]
+        r0, r1, t0, t1 = r1, ptrim(r, fp), t1, t
+        yield r1, t1
+
+
 def poly_rat_recon(acc: LagrangeAccumulator) -> tuple[list, list] | None:
     """Cauchy interpolation: num/den through all added points.
 
     Balanced degree split: deg num ≤ K//2, deg den ≤ K-1-K//2 where K is
-    the number of points.  The returned pair is coprime with monic
-    denominator; None when no such function fits (including when the
-    would-be denominator vanishes at a sample point).
+    the number of points: the first row of remainder_sequence on (node,
+    interpolant) whose remainder has degree ≤ K//2.  The returned pair
+    is coprime with monic denominator; None when no such function fits
+    (including when the would-be denominator vanishes at a sample point).
     """
     fp = acc.fp
     K = acc.count()
@@ -437,13 +459,7 @@ def poly_rat_recon(acc: LagrangeAccumulator) -> tuple[list, list] | None:
     M = acc.to_dense()
     dn = K // 2
     dd = K - 1 - dn
-    r0, t0 = list(acc.node), []
-    r1, t1 = M, [1]
-    while pdeg(r1) > dn:
-        q, r = pdivmod(r0, r1, fp)
-        r0, r1 = r1, r
-        t0, t1 = t1, psub(t0, pmul(q, t1, fp), fp)
-    num, den = r1, t1
+    num, den = next((r, t) for r, t in remainder_sequence(acc.node, M, fp) if pdeg(r) <= dn)
     if not den or pdeg(den) > dd:
         return None
     g = pgcd(num, den, fp)

@@ -24,17 +24,18 @@ fingerprint of the solution module itself.  Images of the same exact
 problem under two good primes produce identical records; an unlucky
 prime inflates the module and produces a comparably "larger" record,
 which is how bad reductions are detected without knowing the answer.
+For two streams (1, s), pair_normalize reads the same normal form off a
+remainder sequence instead of an order basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import CheckFailed
 from .hermite_pade import SigmaBasisResult
 from .modarith import ModPrime
+from .rings import pscale
 
 _REDUCE_CAP = 10**6  # safety valve; the reduction provably terminates
 
@@ -114,6 +115,7 @@ def sigma_normalize(basis: SigmaBasisResult) -> tuple[ReductionRecord, list[list
     with the smallest remaining degree margin; that choice makes progress
     monotone.  No strike changes a defect or critical index.
     """
+    import numpy as np  # only here: a search that builds no order basis never loads numpy
     fp, bounds, defects, deg = basis.fp, basis.bounds, basis.defects, basis.degrees
     margins = np.where(deg >= 0, np.array(bounds) - deg, np.iinfo(np.int64).max)
     if margins.min(axis=1).tolist() != list(defects):
@@ -156,3 +158,21 @@ def sigma_normalize(basis: SigmaBasisResult) -> tuple[ReductionRecord, list[list
             for comp in range(basis.m):
                 v[comp] = [x * inv % fp.p for x in v[comp]]
     return record, cols
+
+
+def pair_normalize(rows: list, bounds: list[int], fp: ModPrime) -> tuple[ReductionRecord, list[list[list[int]]]]:
+    """sigma_normalize's output for streams (1, s), off hermite_pade.remainder_rows.
+
+    For bounds (a, b), row k is the first of critical index 1 (b - deg t <
+    a - deg r, always true for r = 0), so row k - 1 has critical index 0.
+    deg r falls and deg t rises along the rows, so rows k - 1, k are a
+    basis in Popov form: sorting them and making the solution columns
+    monic gives the unique normal form, with no strike.
+    """
+    a, b = bounds
+    k = next(i for i, (r, t) in enumerate(rows) if t and (not r or b - len(t) < a - len(r)))
+    (r0, t0), (r1, t1) = rows[k - 1], rows[k]
+    cols = sorted([(a + 1 - len(r0), 0, [r0, t0]), (b + 1 - len(t1), 1, [r1, t1])], key=lambda c: (-c[0], c[1]))
+    record = ReductionRecord(tuple(d for d, _, _ in cols), tuple(c for _, c, _ in cols),
+                             tuple(bounds[c] - d for d, c, _ in cols))
+    return record, [[pscale(comp, fp.inv(v[c][-1]), fp) for comp in v] for d, c, v in cols if d >= 1]

@@ -8,7 +8,23 @@ fast implementations against code that shares no machinery with them.
 import random
 from fractions import Fraction
 
+from seqguess.errors import BadModulus
 from seqguess.rings import QQ, RatPoly, peval
+
+
+def reduce_scalar(x, fp) -> int:
+    """Image of the rational x in Z_p, one entry at a time.
+
+    Raises:
+        BadModulus: p divides the denominator of x.
+    """
+    if isinstance(x, int):
+        return x % fp.p
+    x = Fraction(x)
+    den = x.denominator % fp.p
+    if den == 0:
+        raise BadModulus(f"{fp.p} divides denominator of {x}")
+    return x.numerator % fp.p * pow(den, -1, fp.p) % fp.p
 
 
 def condition_matrix(streams, bounds, sigma, p, points=None):

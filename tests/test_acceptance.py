@@ -25,6 +25,7 @@ from oracles import (
     nullspace_dim,
     order_basis_instances,
     popov_solution_columns,
+    reduce_scalar,
 )
 from seqguess.errors import BadModulus
 from seqguess.guess import (
@@ -41,7 +42,7 @@ from seqguess.guess import (
 )
 from seqguess.hermite_pade import SigmaBasisResult, sigma_basis
 from seqguess.lift import LiftOptions, do_solve
-from seqguess.modarith import ModPrime, reduce_scalar, sample_prime
+from seqguess.modarith import ModPrime, sample_prime
 from seqguess.models import OrderProblem
 from seqguess.rings import (
     QQ,

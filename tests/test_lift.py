@@ -17,7 +17,8 @@ from seqguess.lift import (
     do_solve,
     reconstruction_due,
 )
-from seqguess.modarith import reduce_scalar, sample_prime
+from oracles import reduce_scalar
+from seqguess.modarith import sample_prime
 from seqguess.models import OrderProblem
 from seqguess.rings import RatPoly
 from seqguess.sigma_normalize import ReductionRecord
@@ -230,3 +231,17 @@ def test_q_mode_solves_at_the_shared_primes_in_order():
     do_solve(build, [2, 1], "polyrational", LiftOptions(seed=seed))
     assert len(seen) >= 2
     assert seen == [lift._nth_field(seed, 31, i).p for i in range(len(seen))]
+
+
+def test_reduce_flat_clears_once_and_flags_exactly_the_dividing_primes():
+    rng = random.Random(11)
+    for p in (2, 3, 7, 10007, 2**31 - 1):
+        fp = lift.ModPrime(p)
+        for _ in range(200):
+            values = [F(rng.randint(-10**12, 10**12), rng.choice((1, 2, 3, 7, 14, 21, 10007, 2**31 - 1)))
+                      for _ in range(rng.randint(1, 6))]
+            if any(v.denominator % p == 0 for v in values):
+                with pytest.raises(BadModulus):
+                    lift._reduce_flat(values, fp)
+            else:
+                assert lift._reduce_flat(values, fp) == [reduce_scalar(v, fp) for v in values]

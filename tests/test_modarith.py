@@ -1,4 +1,4 @@
-"""Prime sampling, word-size prime fields, reduction of rationals."""
+"""Prime sampling, word-size prime fields, and the tests' reduction of rationals."""
 
 import random
 from fractions import Fraction
@@ -6,12 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import reduce_scalar
 from seqguess.errors import BadModulus
 from seqguess.modarith import (
     MAX_PRIME_BITS,
     ModPrime,
     is_probable_prime,
-    reduce_scalar,
     sample_prime,
 )
 

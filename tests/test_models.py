@@ -9,7 +9,7 @@ import pytest
 from seqguess.errors import BadModulus, SchemaExhausted
 from seqguess import models
 from seqguess.guess import Options, _make_builder, _TermImages
-from seqguess.modarith import ModPrime, reduce_scalar
+from seqguess.modarith import ModPrime
 from seqguess.models import (
     CLASS_NAMES,
     Monomial,
@@ -23,7 +23,7 @@ from seqguess.models import (
 )
 from seqguess.rings import QQ, ZZ, RatPoly, peval
 
-from oracles import QPARAM, QQ_T, naive_images, ratpoly_eval
+from oracles import QPARAM, QQ_T, naive_images, ratpoly_eval, reduce_scalar
 
 
 def test_partitions_lex_frozen():
