@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -26,6 +27,7 @@ from .render import result_to_json, to_obj
 from .rings import RatPoly
 
 _CHECK_MODES = {"det": "deterministic", "mc": "montecarlo", "skip": "none"}
+MAX_POWER_BITS = 1 << 22  # largest a^e a term may contain, about 1.26 million digits
 
 
 @dataclass
@@ -144,10 +146,10 @@ class _ExprParser:
             if etok.kind != "int":
                 raise ParseError("exponent must be a nonnegative integer", caret.line, caret.col)
             e = int(etok.text)
-            out = self._const(Fraction(1))
-            for _ in range(e):
-                out = out * node
-            return out
+            if _power_bits(node, e) > MAX_POWER_BITS:
+                raise ParseError(f"power exceeds the size limit MAX_POWER_BITS = {MAX_POWER_BITS} bits",
+                                 caret.line, caret.col)
+            return node**e
         return node
 
     def atom(self):
@@ -166,6 +168,26 @@ class _ExprParser:
                 raise ParseError("expected ')'", closing.line, closing.col)
             return node
         raise ParseError(f"expected a term, got {tok.text or 'end of input'!r}", tok.line, tok.col)
+
+
+def _power_bits(base, e: int) -> float:
+    """Upper bound on the bits of base^e, base a Fraction or a RatPoly.
+
+    Per polynomial a = b/d with b integral: the coefficients of a^e number
+    e*deg(a) + 1, and each has at most e*log2(|b|_1 * d) bits, as every
+    coefficient of b^e is at most |b|_1^e in absolute value.
+    """
+    total = 0.0
+    for a in (base.num, base.den) if isinstance(base, RatPoly) else ((base,),):
+        if not a:
+            continue
+        d = math.lcm(*(c.denominator for c in a))
+        height = math.log2(max(sum(abs(c.numerator) * (d // c.denominator) for c in a) * d, 1))
+        count = e * (len(a) - 1) + 1
+        if count > MAX_POWER_BITS or (height and e > MAX_POWER_BITS):
+            return math.inf  # decided in ints: e may have thousands of digits
+        total += count * (1 + e * height)
+    return total
 
 
 def _line_col(text: str, pos: int) -> tuple[int, int]:

@@ -24,6 +24,14 @@ A reconstruction candidate is only returned after a fresh modulus
 reproduces it exactly; it is reduced there with one inverse, cleared by
 the lcm of its denominators.
 
+Reconstruction is attempted on a bounded-overshoot schedule
+(reconstruction_due): after every good prime up to 16, then whenever the
+count of good primes has grown by 1/8.  An attempt is an extended Euclid
+run per entry, quadratic in the modulus size, so attempting after every
+prime would cost about c^3/3 for a solve that needs c primes; the
+schedule's attempts sum to a few times the last one, at the price of at
+most ceil(c/8) + 1 further primes.
+
 Most solves of a search end in NoSolution, so that outcome is kept cheap:
 on the first image of a level the order basis stops as soon as its
 defects, already the normal-form ones (the basis stays in weak Popov
@@ -65,6 +73,8 @@ ProblemBuilder = Callable[[ModPrime, int | None], OrderProblem]
 
 PRIME_BITS = 31
 MAX_PRIMES = 10_000  # outer primes per solve
+RECON_EVERY_PRIME = 16  # reconstruct after each good prime up to this count,
+RECON_GROWTH = 8  # then each time the count has grown by 1/RECON_GROWTH
 INNER_EXPECTED_DEGREE = 32  # caps inner points at 4*(this+1)
 
 
@@ -103,15 +113,22 @@ def check_reduction(new_record: ReductionRecord, state: LiftState, new_shape: tu
 
 
 def reconstruction_due(state: LiftState) -> bool:
-    """Attempt schedule: primes every step up to 200 then every 100th;
-    evaluation points at square counts (degree grows quadratically)."""
+    """Attempt schedule.  Primes: every good count through
+    RECON_EVERY_PRIME, then the first count at least ceil(9/8 x the last
+    due one): 18, 21, 24, 27, 31, ...  Evaluation points: square counts
+    (degree grows quadratically)."""
     c = state.good_count
     if c < 1:
         return False
     if state.level == "point":
         r = math.isqrt(c)
         return r * r == c
-    return c <= 200 or c % 100 == 0
+    if c <= RECON_EVERY_PRIME:
+        return True
+    due = RECON_EVERY_PRIME
+    while due < c:
+        due += -(-due // RECON_GROWTH)
+    return due == c
 
 
 @dataclass

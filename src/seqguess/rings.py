@@ -266,6 +266,25 @@ class RatPoly:
     def __rtruediv__(self, other):
         return RatPoly.coerce(other) / self
 
+    def __pow__(self, e: int) -> "RatPoly":
+        """self^e for an int e >= 0.  Numerator and denominator are raised
+        apart: they stay coprime and the denominator monic, so no gcd."""
+        return RatPoly(_qpow(self.num, e), _qpow(self.den, e))
+
+
+def _qpow(a: tuple, e: int) -> tuple:
+    """a^e for a Fraction coefficient tuple, by squaring over ZZ: a = b/d
+    with b integral, a^e = b^e/d^e."""
+    d = math.lcm(*(c.denominator for c in a))
+    base = [int(c * d) for c in a]
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = pmul(out, out, ZZ)
+        if bit == "1":
+            out = pmul(out, base, ZZ)
+    de = d**e
+    return tuple(Fraction(c, de) for c in out)
+
 
 def clear_denominators(values) -> tuple[list, list]:
     """Numerators and one common denominator of rational functions, in Z[q].

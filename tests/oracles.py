@@ -173,15 +173,20 @@ def popov_solution_columns(streams, bounds, sigma, p, points=None):
     return out
 
 
-def gen_prec_terms(order, deg, count, seed):
+def gen_prec_terms(order, deg, count, seed, digits=0):
     """Exact terms of a random monic-leading linear recurrence.
 
     Coefficient of f(n+order) is the constant 1, the other coefficients
     are random integer polynomials in n of the given degree, so the data
-    is generated forward without division.
+    is generated forward without division.  Their coefficients lie in
+    [-10, 10], or with `digits` > 0 have exactly that many digits.
     """
     rng = random.Random(seed)
-    coeffs = [[rng.randint(-10, 10) for _ in range(deg + 1)] for _ in range(order)]
+    if digits:
+        coeffs = [[rng.choice((-1, 1)) * rng.randint(10 ** (digits - 1), 10**digits - 1) for _ in range(deg + 1)]
+                  for _ in range(order)]
+    else:
+        coeffs = [[rng.randint(-10, 10) for _ in range(deg + 1)] for _ in range(order)]
     terms = [Fraction(rng.randint(1, 5)) for _ in range(order)]
     while len(terms) < count:
         n = len(terms) - order

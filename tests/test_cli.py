@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -65,6 +66,28 @@ def test_parse_division_by_zero():
 def test_parse_empty_input():
     with pytest.raises(ParseError, match="no terms"):
         parse_sequence("   \n  ")
+
+
+@pytest.mark.parametrize("base, e, param", [
+    ("0", 0, None), ("0", 0, "q"), ("0", 3, "q"), ("(-2/3)", 5, None), ("(-2/3)", 5, "q"),
+    ("(1/(q+1))", 3, "q"), ("((q^2-1/3)/(2*q+5))", 4, "q"), ("(q-1)", 7, "q"),
+])
+def test_parse_power_equals_repeated_product(base, e, param):
+    product = "*".join([base] * e) if e else "1"
+    assert parse_sequence(f"{base}^{e}", param).terms == parse_sequence(product, param).terms
+
+
+def test_parse_power_is_bounded():
+    # q^3000 used to take 24 s (one gcd per factor), 2^9999999 never returned
+    t0 = time.perf_counter()
+    assert parse_sequence("q^3000, 2^100000", param="q").terms == [
+        RatPoly((F(0),) * 3000 + (F(1),), (F(1),)), RatPoly.const(2**100000)]
+    with pytest.raises(ParseError, match="MAX_POWER_BITS") as exc:
+        parse_sequence("1, 2^9999999")
+    assert (exc.value.line, exc.value.column) == (1, 5)
+    with pytest.raises(ParseError, match="MAX_POWER_BITS"):
+        parse_sequence("(q+1)^" + "9" * 400, param="q")
+    assert time.perf_counter() - t0 < 5
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +171,8 @@ def test_main_unknown_operator(capsys):
 def test_main_parse_error_exit(capsys):
     assert main(["1,", "@"]) == 2
     assert "unexpected character" in capsys.readouterr().err
+    assert main(["2^9999999"]) == 2
+    assert "MAX_POWER_BITS" in capsys.readouterr().err
 
 
 def test_main_operator_search(capsys):

@@ -2,13 +2,14 @@
 detection of structurally bad reductions."""
 
 import random
+import sys
 import threading
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from seqguess import lift
+from seqguess import guess_prec, lift
 from seqguess.errors import BadModulus, NoSolution
 from seqguess.lift import (
     LiftOptions,
@@ -17,7 +18,7 @@ from seqguess.lift import (
     do_solve,
     reconstruction_due,
 )
-from oracles import reduce_scalar
+from oracles import first_failure_reference, gen_prec_terms, reduce_scalar
 from seqguess.modarith import sample_prime
 from seqguess.models import OrderProblem
 from seqguess.rings import RatPoly
@@ -163,10 +164,12 @@ def test_check_reduction_verdicts():
 
 def test_reconstruction_schedule():
     st = LiftState(level="prime")
-    due = [c for c in range(0, 501) if not setattr(st, "good_count", c) and reconstruction_due(st)]
-    assert 0 not in due
-    assert all(c in due for c in range(1, 201))
-    assert due[200:] == [300, 400, 500]
+    due = [c for c in range(0, lift.MAX_PRIMES + 1) if not setattr(st, "good_count", c) and reconstruction_due(st)]
+    assert due[:16] == list(range(1, 17))
+    # bounded overshoot: after a due count c the next one comes by ceil(9c/8)
+    assert all(b <= -(-9 * a // 8) for a, b in zip(due, due[1:]))
+    assert due[16:30] == [18, 21, 24, 27, 31, 35, 40, 45, 51, 58, 66, 75, 85, 96]
+    assert len(due) <= 70
     st = LiftState(level="point")
     due = [c for c in range(0, 50) if not setattr(st, "good_count", c) and reconstruction_due(st)]
     assert due == [1, 4, 9, 16, 25, 36, 49]
@@ -245,3 +248,53 @@ def test_reduce_flat_clears_once_and_flags_exactly_the_dividing_primes():
                     lift._reduce_flat(values, fp)
             else:
                 assert lift._reduce_flat(values, fp) == [reduce_scalar(v, fp) for v in values]
+
+
+# ---------------------------------------------------------------------------
+# planted big-coefficient recurrences, under the schedule and at every prime
+
+# (order, degree, digits, terms fitted, seed): solves that end after 8, 15,
+# 23, 28 and 67 good primes when every prime is followed by an attempt
+BIG_PLANTED = [(2, 1, 30, 12, 1), (2, 2, 60, 16, 2), (2, 1, 100, 12, 3), (3, 2, 120, 24, 4), (2, 2, 300, 16, 5)]
+HELD_OUT = 6
+
+
+def _guess_planted(case, monkeypatch, every_prime):
+    """Rendered results of guess_prec on the fitted terms, the first result,
+    and the good primes of each successful do_solve (from its events)."""
+    order, deg, digits, fit, seed = case
+    terms, _ = gen_prec_terms(order, deg, fit + HELD_OUT, seed, digits)
+    guess_module = sys.modules["seqguess.guess"]
+    solve, goods = guess_module.do_solve, []
+
+    def recording_solve(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        goods.append(max(e[2] for e in res.state.events if e[0] == "recon") + 1)  # + the confirming prime
+        return res
+
+    monkeypatch.setattr(guess_module, "do_solve", recording_solve)
+    if every_prime:
+        monkeypatch.setattr(lift, "reconstruction_due", lambda st: st.good_count >= 1)
+    results = guess_prec(terms[:fit], homogeneous=1, max_shift=order, max_degree=deg)
+    monkeypatch.undo()
+    return [str(r) for r in results], results[0] if results else None, goods, terms
+
+
+@pytest.mark.parametrize("case", BIG_PLANTED)
+def test_schedule_overshoot_is_bounded(case, monkeypatch):
+    texts, _, goods, _ = _guess_planted(case, monkeypatch, every_prime=False)
+    every_texts, _, every_goods, _ = _guess_planted(case, monkeypatch, every_prime=True)
+    assert texts and texts == every_texts
+    assert len(goods) == len(every_goods)
+    for c_new, c in zip(goods, every_goods):
+        assert c <= c_new <= c + -(-c // 8) + 1
+
+
+@pytest.mark.parametrize("case", BIG_PLANTED)
+def test_planted_big_coefficients_are_recovered(case, monkeypatch):
+    order = case[0]
+    _, first, _, terms = _guess_planted(case, monkeypatch, every_prime=False)
+    assert first is not None
+    assert max(max(mo.parts) - 1 for mo, c in zip(first.schema.monomials, first.coeffs) if c) <= order
+    # the held-out terms are annihilated too, judged by the reference arithmetic
+    assert first_failure_reference(first.coeffs, first.schema, terms) is None
