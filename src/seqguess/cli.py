@@ -24,7 +24,7 @@ from .errors import CheckFailed, ParseError, ReconstructionAborted, UsageError
 from .guess import Options, guess, guess_class
 from .models import CLASS_NAMES
 from .render import result_to_json, to_obj
-from .rings import RatPoly
+from .rings import RatPoly, fraction_from_dec, int_from_dec
 
 _CHECK_MODES = {"det": "deterministic", "mc": "montecarlo", "skip": "none"}
 MAX_POWER_BITS = 1 << 22  # largest a^e a term may contain, about 1.26 million digits
@@ -38,6 +38,13 @@ class InputSpec:
     offset: int = 0
     source: str = "inline"  # "inline" | "file" | "b-file"
     param: str | None = None
+
+
+def _clip(text: str, keep: int = 24) -> str:
+    """text for an error message, its middle elided when longer than 2 * keep characters."""
+    if len(text) <= 2 * keep:
+        return text
+    return f"{text[:keep]}...{text[-keep:]} ({len(text)} characters)"
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +118,13 @@ class _ExprParser:
     def _const(self, v: Fraction):
         return RatPoly.const(v) if self.param else v
 
+    @staticmethod
+    def _int(tok: _Tok) -> int:
+        try:
+            return int_from_dec(tok.text)
+        except ValueError:  # a digit that int() does not read, such as a superscript
+            raise ParseError(f"bad integer {_clip(tok.text)!r}", tok.line, tok.col) from None
+
     def expr(self):
         node = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
@@ -145,7 +159,7 @@ class _ExprParser:
             etok = self.take()
             if etok.kind != "int":
                 raise ParseError("exponent must be a nonnegative integer", caret.line, caret.col)
-            e = int(etok.text)
+            e = self._int(etok)
             if _power_bits(node, e) > MAX_POWER_BITS:
                 raise ParseError(f"power exceeds the size limit MAX_POWER_BITS = {MAX_POWER_BITS} bits",
                                  caret.line, caret.col)
@@ -155,7 +169,7 @@ class _ExprParser:
     def atom(self):
         tok = self.take()
         if tok.kind == "int":
-            return self._const(Fraction(int(tok.text)))
+            return self._const(Fraction(self._int(tok)))
         if tok.kind == "name":
             if self.param and tok.text == self.param:
                 return RatPoly.make([Fraction(0), Fraction(1)])
@@ -236,13 +250,13 @@ def parse_bfile(text: str) -> InputSpec:
         if len(fields) != 2:
             raise ParseError("b-file line must be 'index value'", lineno, 1)
         try:
-            idx = int(fields[0])
+            idx = int_from_dec(fields[0])
         except ValueError:
-            raise ParseError(f"bad b-file index {fields[0]!r}", lineno, raw.index(fields[0]) + 1) from None
+            raise ParseError(f"bad b-file index {_clip(fields[0])!r}", lineno, raw.index(fields[0]) + 1) from None
         try:
-            val = Fraction(fields[1])
+            val = fraction_from_dec(fields[1])
         except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad b-file value {fields[1]!r}", lineno, raw.rindex(fields[1]) + 1) from None
+            raise ParseError(f"bad b-file value {_clip(fields[1])!r}", lineno, raw.rindex(fields[1]) + 1) from None
         if prev is None:
             offset = idx
         elif idx != prev + 1:
@@ -267,7 +281,7 @@ def _looks_like_bfile(text: str) -> bool:
         if len(fields) != 2:
             return False
         try:
-            indices.append(int(fields[0]))
+            indices.append(int_from_dec(fields[0]))
         except ValueError:
             return False
     # increasing first column = index column; contiguity itself is checked
@@ -419,6 +433,12 @@ def main(argv=None) -> int:
                 results.extend(guess_class(spec.terms, klass, opts, q=q_mode))
                 if results and opts.one:
                     break
+        if not results:
+            text = ("[]" if args.all else "null") if args.json else "no guess"
+        elif args.json:
+            text = json.dumps([to_obj(r) for r in results], indent=2) if args.all else result_to_json(results[0])
+        else:
+            text = "\n".join(str(r) for r in results)
     except ReconstructionAborted as e:
         print(f"seqguess: aborted: {e}", file=sys.stderr)
         return 3
@@ -428,23 +448,8 @@ def main(argv=None) -> int:
     except (CheckFailed, ValueError) as e:
         print(f"seqguess: internal error: {e}", file=sys.stderr)
         return 3
-
-    if not results:
-        if args.json:
-            print("[]" if args.all else "null")
-        else:
-            print("no guess")
-        return 1
-    if args.json:
-        if args.all:
-            print(json.dumps([to_obj(r) for r in results], indent=2))
-        else:
-            print(result_to_json(results[0]))
-    else:
-        for r in results:
-            print(str(r))
-    return 0
-
+    print(text)
+    return 0 if results else 1
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -19,6 +19,10 @@ operators, undoing term-wise differences and quotients.
 
 Exact values enter Z_p and ZZ in one place, _TermImages: the search, the
 exact check and the Monte Carlo check all read their terms from it.
+
+The degree splits of a pair schema (streams (1, s)) share one remainder
+sequence per image and the lift of its rows: _search gives lift.do_solve
+one row store per such schema, next to its image builder.
 """
 
 from __future__ import annotations
@@ -444,7 +448,8 @@ def _make_builder(store: _TermImages, schema: Schema, pair: bool = False):
 
     Every degree vector of the schema starts from the same primes (and,
     in q mode, the same points), so each is cut to the schema once, and
-    for a `pair` schema its remainder sequence is run once.
+    for a `pair` schema its remainder sequence is run once; the rows'
+    lift is shared through the row store that _search keeps beside it.
     """
     images: dict = {}
 
@@ -530,13 +535,15 @@ def _search(store: _TermImages, terms, klass: str, opts: Options, q: bool) -> li
         vectors = enumerate_degree_vectors(total, m, cap, all_deg)
         if opts.debug:
             _dbg(f"{klass} m={m} sigma={sigma} unknowns={total} vectors={len(vectors)}")
-        builder = _make_builder(store, schema, schema.pair and sigma <= PAIR_SIGMA_PER_SPLIT * len(vectors))
+        pair = schema.pair and sigma <= PAIR_SIGMA_PER_SPLIT * len(vectors)
+        builder = _make_builder(store, schema, pair)
+        rows = {} if pair else None  # the schema's lifted remainder rows, shared by its splits
         verdicts: dict = {}  # lifted columns -> filter_interpolating output
         for bounds in vectors:
             if opts.debug:
                 _dbg(f"  bounds {bounds}")
             try:
-                lifted = do_solve(builder, list(bounds), domain, lift_opts)
+                lifted = do_solve(builder, list(bounds), domain, lift_opts, rows)
             except NoSolution:
                 continue
             key = tuple(tuple(map(tuple, col)) for col in lifted.columns)

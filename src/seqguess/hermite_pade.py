@@ -40,7 +40,9 @@ reduced after every single multiply-add and never overflows int64.
 
 For two streams (1, s), one extended Euclid run serves every degree
 split (remainder_rows); the search uses it when a schema has few
-conditions per split (guess.PAIR_SIGMA_PER_SPLIT).
+conditions per split (guess.PAIR_SIGMA_PER_SPLIT).  The splits then
+share the rows' lift as well as the image: lift.do_solve lifts each row
+once per schema and serves every later split that reads it.
 """
 
 from __future__ import annotations

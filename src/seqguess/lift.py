@@ -14,12 +14,20 @@ data by solving modular images and reconstructing:
 Each image yields a shape fingerprint, read off its order basis, and
 its solution columns in normal form (see sigma_normalize).  An image
 that carries a remainder sequence (OrderProblem.rows) needs no basis:
-every degree split reads its normal form off two of its rows.  Unlucky
-moduli are detected by comparing fingerprints: a mismatch marks either
-the new image or everything accumulated so far as bad.  Once bad images
-outnumber the good ones by more than two, the prime level drops its
-state and adopts the current image, while the point level gives up on
-its prime; so one unlucky first image costs a bounded number of solves.
+every degree split reads its normal form off two of its rows.  Such
+splits share the rows' lift, not only the image.  do_solve reads a
+split's first image; when the schema's row store already holds every
+solution row the split picks there, lifted exactly by an earlier split,
+its columns are those rows made monic, with no further prime or point.
+A split that lifts stores its rows when its final record is its first
+image's: at a good prime each row is the image of the exact row of the
+same degrees, as in modular gcds (von zur Gathen-Gerhard ch. 6), and
+the record vouches for the prime.  Unlucky moduli are detected by
+comparing fingerprints: a mismatch marks either the new image or
+everything accumulated so far as bad.  Once bad images outnumber the
+good ones by more than two, the prime level drops its state and adopts
+the current image, while the point level gives up on its prime; so one
+unlucky first image costs a bounded number of solves.
 A reconstruction candidate is only returned after a fresh modulus
 reproduces it exactly; it is reduced there with one inverse, cleared by
 the lcm of its denominators.
@@ -33,12 +41,13 @@ schedule's attempts sum to a few times the last one, at the price of at
 most ceil(c/8) + 1 further primes.
 
 Most solves of a search end in NoSolution, so that outcome is kept cheap:
-on the first image of a level the order basis stops as soon as its
-defects, already the normal-form ones (the basis stays in weak Popov
-form), leave no column that can fit, and both domains draw their
-primes, after any forced ones, from a shared list per (seed, bits)
-instead of re-sampling the same sequence per solve; q mode's rng draws
-evaluation points only.
+do_solve reads the first image (_first_image) before any lift state is
+built, and the lift reuses it; on the first image of a level the order
+basis stops as soon as its defects, already the normal-form ones (the
+basis stays in weak Popov form), leave no column that can fit, and both
+domains draw their primes, after any forced ones, from a shared list per
+(seed, bits) instead of re-sampling the same sequence per solve; q
+mode's rng draws evaluation points only.
 """
 
 from __future__ import annotations
@@ -64,7 +73,7 @@ from .rings import (
     poly_rat_recon,
     rat_recon_vec,
 )
-from .sigma_normalize import ReductionRecord, compare_reductions, pair_normalize, sigma_normalize
+from .sigma_normalize import ReductionRecord, compare_reductions, pair_normalize, pair_split, sigma_normalize
 
 # builder(fp, t_point) -> OrderProblem: reduces the exact data mod fp
 # (specializing the parameter at t_point when there is one)
@@ -75,7 +84,7 @@ PRIME_BITS = 31
 MAX_PRIMES = 10_000  # outer primes per solve
 RECON_EVERY_PRIME = 16  # reconstruct after each good prime up to this count,
 RECON_GROWTH = 8  # then each time the count has grown by 1/RECON_GROWTH
-INNER_EXPECTED_DEGREE = 32  # caps inner points at 4*(this+1)
+INNER_DRAWS = 4 * (32 + 1)  # point draws per prime: 4 x (expected degree in t + 1)
 
 
 @dataclass
@@ -197,7 +206,42 @@ def _solve_image(builder: ProblemBuilder, bounds: list[int], fp: ModPrime, t_poi
     return record, flat
 
 
-def _inner_solve(builder, bounds, fp, opts, rng, outer_state):
+def _fields(opts: LiftOptions):
+    """The solve's primes, in order: the forced ones, then the shared list."""
+    forced = opts.primes or []
+    used: set[int] = set()
+    for i in range(MAX_PRIMES):
+        fp = ModPrime(forced[i]) if i < len(forced) else _nth_field(opts.seed, PRIME_BITS, i - len(forced))
+        if fp.p not in used:
+            used.add(fp.p)
+            yield fp
+
+
+def _points(rng: random.Random, fp: ModPrime):
+    """The distinct evaluation points a prime's inner level draws from rng."""
+    used: set[int] = set()
+    for _ in range(INNER_DRAWS):
+        tau = rng.randrange(1, fp.p)
+        if tau not in used:
+            used.add(tau)
+            yield tau
+
+
+def _first_image(builder: ProblemBuilder, bounds: list[int], domain: str, opts: LiftOptions):
+    """(fp, t_point, record, flat) of the first image the lift reads: the
+    first prime (and, over Q(t), its first point) without BadModulus."""
+    for fp in _fields(opts):
+        for tau in _points(random.Random(opts.seed), fp) if domain == "polyrational" else (None,):
+            try:
+                return (fp, tau, *_solve_image(builder, bounds, fp, tau, True))
+            except BadModulus:
+                continue
+        if domain == "polyrational":
+            raise ReconstructionAborted(f"inner level exhausted {INNER_DRAWS} points mod {fp.p}")
+    raise ReconstructionAborted(f"no stable reconstruction after {MAX_PRIMES} primes")
+
+
+def _inner_solve(read, fp, opts, rng, outer_state):
     """Lift over the parameter t at one prime.
 
     Returns (record, shape, values) with values the Z_p coefficients of
@@ -205,16 +249,10 @@ def _inner_solve(builder, bounds, fp, opts, rng, outer_state):
     drown the good ones (the caller aborts).
     """
     state = LiftState(level="point")
-    used: set[int] = set()
     pending = None  # list of (num, den) per slot
-    max_draws = 4 * (INNER_EXPECTED_DEGREE + 1)
-    for _ in range(max_draws):
-        tau = rng.randrange(1, fp.p)
-        if tau in used:
-            continue
-        used.add(tau)
+    for tau in _points(rng, fp):
         try:
-            record, flat = _solve_image(builder, bounds, fp, tau, state.record is None)
+            record, flat = read(fp, tau, state.record is None)
         except BadModulus:
             _emit(outer_state, opts, "skip_point", fp.p, tau)
             continue
@@ -258,7 +296,7 @@ def _inner_solve(builder, bounds, fp, opts, rng, outer_state):
             _emit(outer_state, opts, "point_recon", fp.p, state.good_count, cand is not None)
             if cand is not None:
                 pending = cand
-    raise ReconstructionAborted(f"inner level exhausted {max_draws} points mod {fp.p}")
+    raise ReconstructionAborted(f"inner level exhausted {INNER_DRAWS} points mod {fp.p}")
 
 
 def _match_poly_candidate(cand, flat, tau: int, fp: ModPrime):
@@ -307,35 +345,74 @@ def _reduce_flat(values: list[Fraction], fp: ModPrime) -> list[int]:
     return [v.numerator * (den // v.denominator) % p * inv % p for v in values]
 
 
+def _monic(col: list, c: int) -> list:
+    """An exact column scaled monic in component c."""
+    lead = col[c][-1]
+    if lead == 1:
+        return col
+    inv = 1 / lead
+    return [[x * inv for x in comp] for comp in col]
+
+
 def do_solve(builder: ProblemBuilder, bounds: list[int], domain: str = "rational",
-             opts: LiftOptions | None = None) -> LiftResult:
+             opts: LiftOptions | None = None, rows: dict | None = None) -> LiftResult:
     """Solve over Q (domain='rational') or Q(t) (domain='polyrational').
 
     Raises NoSolution when the module is empty within the bounds and
     ReconstructionAborted when resource caps run out.
+
+    rows: the row store of a pair schema, shared by its degree splits:
+    the index of a remainder row at the schema's first image -> that
+    row lifted exactly.  A split whose solution rows are all stored reads
+    its columns off them; otherwise it lifts, and stores its rows when
+    its final record is the first image's and each row keeps the degrees
+    it has there.
     """
     if domain not in ("rational", "polyrational"):
         raise ValueError(f"unknown domain {domain!r}")
     opts = opts or LiftOptions()
+    head = _first_image(builder, bounds, domain, opts)
+    fp, tau, record = head[:3]
+    if _positive(record) == 0:
+        raise NoSolution(f"the first image (mod {fp.p}, t = {tau}) has an empty solution space")
+    if rows is not None:
+        first_rows = builder(fp, tau).rows
+        k = pair_split(first_rows, bounds)
+        picks = [(k - 1 + c, c) for d, c in zip(record.defects, record.crits) if d >= 1]
+        if all(i in rows for i, _ in picks):
+            state = LiftState(record=record)
+            _emit(state, opts, "rows", *(i for i, _ in picks))
+            return LiftResult([_monic(rows[i], c) for i, c in picks], record, state)
+
+    def read(at, t_point, first):  # the lift's first image is the head
+        if at.p == fp.p and t_point == tau:
+            return head[2:]
+        return _solve_image(builder, bounds, at, t_point, first)
+
+    res = _lift(read, bounds, domain, opts)
+    if rows is not None and res.record == record:
+        for (i, _), col in zip(picks, res.columns):
+            # a later split may make either component monic: both must be the image's
+            if [len(comp) for comp in col] == [len(comp) for comp in first_rows[i]]:
+                rows[i] = col
+    return res
+
+
+def _lift(read, bounds: list[int], domain: str, opts: LiftOptions) -> LiftResult:
+    """The prime level of do_solve, reading images through read(fp, t_point, first)."""
     rng = random.Random(opts.seed) if domain == "polyrational" else None  # q points
     state = LiftState(level="prime")
-    forced = opts.primes or []
-    used: set[int] = set()
     pending = None  # (columns, exact flat vector) awaiting a confirming prime
-    for i in range(MAX_PRIMES):
-        fp = ModPrime(forced[i]) if i < len(forced) else _nth_field(opts.seed, PRIME_BITS, i - len(forced))
+    for fp in _fields(opts):
         p = fp.p
-        if p in used:
-            continue
-        used.add(p)
         try:
             if domain == "polyrational":
-                inner = _inner_solve(builder, bounds, fp, opts, rng, state)
+                inner = _inner_solve(read, fp, opts, rng, state)
                 if inner is None:
                     raise ReconstructionAborted(f"too many bad evaluation points mod {p}")
                 record, shape, flat = inner
             else:
-                record, flat = _solve_image(builder, bounds, fp, None, state.record is None)
+                record, flat = read(fp, None, state.record is None)
                 shape = ()
         except BadModulus:
             _emit(state, opts, "skip_prime", p)

@@ -23,7 +23,7 @@ from functools import reduce
 from math import gcd, lcm
 
 from .models import Monomial, Schema
-from .rings import QQ, RatPoly, clear_denominators, pdiv_exact, pgcd
+from .rings import QQ, RatPoly, clear_denominators, dec_str, fraction_from_dec, fraction_str, int_from_dec, pdiv_exact, pgcd
 
 RESULT_SCHEMA = "seqguess-result-v1"
 OPERATOR_SCHEMA = "seqguess-operator-v1"
@@ -117,11 +117,11 @@ def _int_terms(coeffs: list[int], var: str) -> list[tuple[int, str]]:
         sign = 1 if c > 0 else -1
         mag, pw = abs(c), _power_str(var, e)
         if not pw:
-            out.append((sign, str(mag)))
+            out.append((sign, dec_str(mag)))
         elif mag == 1:
             out.append((sign, pw))
         else:
-            out.append((sign, f"{mag}{pw}"))
+            out.append((sign, f"{dec_str(mag)}{pw}"))
     return out
 
 
@@ -224,7 +224,7 @@ def _value_str(v) -> str:
         if " " in ds:
             ds = f"({ds})"
         return f"{ns}/{ds}"
-    return str(Fraction(v))
+    return fraction_str(Fraction(v))
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +368,8 @@ def _series_prefix_str(values, fn: str, var: str) -> str:
                 continue
             body = _value_str(v)
             if body.lstrip("-").isdigit():
-                c = int(body)
-                sign, body = (1 if c > 0 else -1), str(abs(c))
+                c = int_from_dec(body)
+                sign, body = (1 if c > 0 else -1), dec_str(abs(c))
             else:
                 sign = 1
                 if e > 0 or " " in body:
@@ -380,7 +380,7 @@ def _series_prefix_str(values, fn: str, var: str) -> str:
                 continue
             sign = 1 if v > 0 else -1
             mag = abs(v)
-            body = str(mag) if mag.denominator == 1 else f"({mag})"
+            body = fraction_str(mag) if mag.denominator == 1 else f"({fraction_str(mag)})"
         pw = _power_str(var, e)
         if pw:
             body = pw if body == "1" else f"{body}{pw}"
@@ -479,14 +479,14 @@ def render_operator(expr) -> str:
 
 def _value_to_json(v):
     if isinstance(v, RatPoly):
-        return {"num": [str(c) for c in v.num], "den": [str(c) for c in v.den]}
-    return str(Fraction(v))
+        return {"num": [fraction_str(c) for c in v.num], "den": [fraction_str(c) for c in v.den]}
+    return fraction_str(Fraction(v))
 
 
 def _value_from_json(v):
     if isinstance(v, dict):
-        return RatPoly.make([Fraction(c) for c in v["num"]], [Fraction(c) for c in v["den"]])
-    return Fraction(v)
+        return RatPoly.make([fraction_from_dec(c) for c in v["num"]], [fraction_from_dec(c) for c in v["den"]])
+    return fraction_from_dec(v)
 
 
 def _result_obj(result) -> dict:

@@ -13,6 +13,10 @@ RatPoly values too.  No field of rational functions is needed:
 denominator, which is how both the exact check and the canonical
 rendering leave Q(q).
 
+int_from_dec, dec_str and fraction_from_dec, fraction_str convert
+numbers of any size to and from decimal text, which CPython's int() and
+str() refuse beyond sys.get_int_max_str_digits() digits.
+
 Everything here is deliberately quadratic: schoolbook products, plain
 extended Euclid (remainder_sequence, for Cauchy interpolation and the
 order basis of two streams), incremental Newton interpolation.
@@ -496,3 +500,55 @@ def poly_rat_recon(acc: LagrangeAccumulator) -> tuple[list, list] | None:
         if peval(num, x, fp) != fp.mul(dv, peval(M, x, fp)):
             return None
     return num, den
+
+
+# ---------------------------------------------------------------------------
+# decimal text of any length
+
+_DEC_CHUNK = 600  # digits per int()/str() call, below CPython's smallest settable limit (640)
+
+
+def _digits_to_int(digits: str) -> int:
+    if len(digits) <= _DEC_CHUNK:
+        return int(digits)
+    half = len(digits) // 2
+    return _digits_to_int(digits[:-half]) * 10**half + _digits_to_int(digits[-half:])
+
+
+def int_from_dec(text: str) -> int:
+    """int(text), with an optionally signed string of decimal digits read
+    chunk by chunk; ValueError where int() raises it."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not digits.isdecimal():
+        return int(text)  # the other forms int() reads, such as 1_000
+    n = _digits_to_int(digits)
+    return -n if text[0] == "-" else n
+
+
+def dec_str(n: int) -> str:
+    """str(n) for an int of any size, split in halves by powers of ten."""
+    if n < 0:
+        return "-" + dec_str(-n)
+    half = n.bit_length() * 3 // 20  # about half the digit count (log10 2 > 0.3)
+    if half < _DEC_CHUNK // 2:
+        return str(n)
+    hi, lo = divmod(n, 10**half)
+    return dec_str(hi) + dec_str(lo).rjust(half, "0")
+
+
+def fraction_from_dec(text: str) -> Fraction:
+    """Fraction(text), with 'a' and 'a/b' (b unsigned) read digit chunk by
+    chunk; other forms, such as 1.5, as Fraction reads them."""
+    num, slash, den = text.partition("/")
+    if slash and not den.isdecimal():
+        return Fraction(text)
+    try:
+        n = int_from_dec(num)
+    except ValueError:
+        return Fraction(text)
+    return Fraction(n, _digits_to_int(den) if slash else 1)
+
+
+def fraction_str(v: Fraction) -> str:
+    """str(v) for a Fraction of any size."""
+    return dec_str(v.numerator) if v.denominator == 1 else f"{dec_str(v.numerator)}/{dec_str(v.denominator)}"

@@ -160,17 +160,26 @@ def sigma_normalize(basis: SigmaBasisResult) -> tuple[ReductionRecord, list[list
     return record, cols
 
 
+def pair_split(rows: list, bounds: list[int]) -> int:
+    """The k whose rows k - 1, k of hermite_pade.remainder_rows are the
+    order basis of the degree split `bounds` = (a, b).
+
+    Row k is the first of critical index 1 (b - deg t < a - deg r, always
+    true for r = 0), so row k - 1 has critical index 0.  deg r falls and
+    deg t rises along the rows, so rows k - 1, k are a basis in Popov form.
+    """
+    a, b = bounds
+    return next(i for i, (r, t) in enumerate(rows) if t and (not r or b - len(t) < a - len(r)))
+
+
 def pair_normalize(rows: list, bounds: list[int], fp: ModPrime) -> tuple[ReductionRecord, list[list[list[int]]]]:
     """sigma_normalize's output for streams (1, s), off hermite_pade.remainder_rows.
 
-    For bounds (a, b), row k is the first of critical index 1 (b - deg t <
-    a - deg r, always true for r = 0), so row k - 1 has critical index 0.
-    deg r falls and deg t rises along the rows, so rows k - 1, k are a
-    basis in Popov form: sorting them and making the solution columns
-    monic gives the unique normal form, with no strike.
+    Sorting the rows k - 1, k of pair_split and making the solution
+    columns monic gives the unique normal form, with no strike.
     """
     a, b = bounds
-    k = next(i for i, (r, t) in enumerate(rows) if t and (not r or b - len(t) < a - len(r)))
+    k = pair_split(rows, bounds)
     (r0, t0), (r1, t1) = rows[k - 1], rows[k]
     cols = sorted([(a + 1 - len(r0), 0, [r0, t0]), (b + 1 - len(t1), 1, [r1, t1])], key=lambda c: (-c[0], c[1]))
     record = ReductionRecord(tuple(d for d, _, _ in cols), tuple(c for _, c, _ in cols),

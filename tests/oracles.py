@@ -198,6 +198,27 @@ def gen_prec_terms(order, deg, count, seed, digits=0):
     return terms, coeffs
 
 
+def qpower_poly(coeffs, n):
+    """P(q^n) as a coefficient list in q, for P with coefficients c_i in Z[q] (lists)."""
+    out = [0] * (max(n * i + len(c) for i, c in enumerate(coeffs)) + 1)
+    for i, c in enumerate(coeffs):
+        for e, v in enumerate(c):
+            out[n * i + e] += v
+    return out
+
+
+def series_coefficients(num, den, count, one):
+    """The first count coefficients of the power series num/den, den[0] a
+    unit, by forward substitution; `one` is 1 of the coefficient field."""
+    f = []
+    for n in range(count):
+        acc = (num[n] if n < len(num) else 0) * one
+        for i in range(1, min(n, len(den) - 1) + 1):
+            acc = acc - den[i] * f[n - i]
+        f.append(acc / den[0])
+    return f
+
+
 def order_basis_instances(p, count=500, seed=500):
     """Random small order-basis problems: (bounds, sigma, streams, points).
 

@@ -1,7 +1,9 @@
 """CLI tests: input parsing, argument handling, exit codes, output forms."""
 
+import decimal
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -94,6 +96,24 @@ def test_parse_power_is_bounded():
 # b-files
 
 
+def _dec(n: int) -> str:
+    """Decimal text of n by the decimal module, which has no digit limit."""
+    return str(decimal.Decimal(n))
+
+
+def test_parse_integers_of_any_size():
+    """4,756 digits, past CPython's default int() limit of 4,300."""
+    big = math.factorial(1700)
+    assert parse_sequence(f"{_dec(big)}, 1, 2").terms == [F(big), F(1), F(2)]
+    assert parse_sequence(f"{_dec(big)} -{_dec(big)}").terms == [F(big), F(-big)]
+    assert parse_sequence(f"{_dec(big)}*q^2, 1", "q").terms == [RatPoly.make([0, 0, big]), RatPoly.const(1)]
+
+
+def test_parse_unreadable_digit_is_a_parse_error():
+    with pytest.raises(ParseError, match=r"bad integer '2²' \(line 1, column 4\)"):
+        parse_sequence("1, 2²")
+
+
 BFILE = "5 25\n6 36\n7 49\n8 64\n"
 
 
@@ -116,6 +136,14 @@ def test_parse_bfile_gap_is_an_error():
 def test_parse_bfile_empty():
     with pytest.raises(ParseError, match="no terms"):
         parse_bfile("# only a comment\n")
+
+
+def test_parse_bfile_value_of_any_size_and_clipped_errors():
+    big = math.factorial(1704)
+    assert parse_bfile(f"0 {_dec(big)}\n1 -{_dec(big)}/3\n").terms == [F(big), F(-big, 3)]
+    with pytest.raises(ParseError, match=r"bad b-file value '9{24}\.\.\.9{23}x \(5001 characters\)'") as err:
+        parse_bfile(f"0 1\n1 {'9' * 5000}x\n")
+    assert len(str(err.value)) < 200
 
 
 def test_bfile_autodetection():
@@ -241,6 +269,20 @@ def test_main_invalid_seed_environment_names_the_variable(capsys, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # main(): JSON output
+
+
+def test_main_bfile_of_factorials_past_the_digit_limit(capsys, tmp_path):
+    """1700! .. 1704!, 4,756 to 4,770 digits: read, solved, printed as text and JSON."""
+    path = tmp_path / "b.txt"
+    path.write_text("".join(f"{k} {_dec(math.factorial(1700 + k))}\n" for k in range(5)))
+    argv = ["--class", "prec", "--max-shift", "1", "--homogeneous", "--file", str(path)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == f"[f(n): f(n+1) + (-n - 1701)f(n) = 0, f(0)= {_dec(math.factorial(1700))}]\n"
+    assert main(argv + ["--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["initial_conditions"]["values"] == [[0, _dec(math.factorial(1700))]]
+    assert obj["text"] == out.strip()
 
 
 def test_main_json_roundtrip(capsys):

@@ -152,14 +152,25 @@ def _count(monkeypatch, module, name, calls):
     ([RatPoly.make([1] * (n + 1)) for n in range(8)], True),
 ])
 def test_one_remainder_sequence_per_schema_prime_and_point(terms, q, monkeypatch):
-    rows, images, solves = [], [], []
+    rows, images, solves, lifts, fresh = [], [], [], [], []
     _count(monkeypatch, guess_mod, "remainder_rows", rows)
     _count(monkeypatch, lift, "_solve_image", solves)
     _count(monkeypatch, guess_mod, "build_images", images)
+    _count(monkeypatch, lift, "_lift", lifts)
+    solve = guess_mod.do_solve
+
+    def recording(builder, bounds, domain, opts, store):
+        before, n = len(store), len(lifts)
+        res = solve(builder, bounds, domain, opts, store)
+        if len(lifts) > n:  # this split lifted: every one of its rows was new to the store
+            fresh.append(len(store) - before == len(res.columns))
+        return res
+
+    monkeypatch.setattr(guess_mod, "do_solve", recording)
     assert guess_rat(terms, q=q)
     keys = [(id(args[1]), args[2].p, kw["q_point"]) for args, kw in images]
     assert len(set(keys)) == len(keys) == len(rows)  # every image built once, one sequence each
-    assert len(solves) > 2 * len(rows)  # and read by several degree splits
+    assert fresh and all(fresh) and len(fresh) == len(lifts)  # each distinct solution row is lifted once
 
 
 def test_sixty_term_rat_builds_no_order_basis(monkeypatch):

@@ -1,11 +1,13 @@
 """Rendering conventions and the versioned JSON forms."""
 
+import decimal
 import json
 from fractions import Fraction as F
 
 import pytest
 
-from seqguess.guess import guess, guess_alg, guess_pade, guess_prec, guess_rat
+from seqguess.guess import GuessResult, Options, guess, guess_alg, guess_pade, guess_prec, guess_rat
+from seqguess.models import build_schema
 from seqguess.render import (
     OPERATOR_SCHEMA,
     RESULT_SCHEMA,
@@ -117,3 +119,27 @@ def test_result_json_rejects_unknown_schema():
 def test_pade_closed_form_series_variable():
     got = str(guess_pade([1, 2, 3, 0])[0])
     assert got == "[[x^n]f(x): f(x) = 3x^2 + 2x + 1]"
+
+
+def test_coefficients_past_the_str_digit_limit():
+    """Text and JSON of results whose values have 4,772 digits, past
+    CPython's default str() limit of 4,300; the JSON reads back."""
+    big = 3**10000
+    dec = str(decimal.Decimal(big))  # the decimal module has no digit limit
+    names = ("f", "n", "x")
+    plain = GuessResult(build_schema("rat", Options(), 2), [[F(-big), F(-1)], [F(1)]], "none", (),
+                        "deterministic", names)
+    q = GuessResult(build_schema("rat", Options(), 2, q=True),
+                    [[RatPoly.make([-big, 1]), RatPoly.const(-1)], [RatPoly.const(1)]], "none", (),
+                    "deterministic", names)
+    series = GuessResult(build_schema("pade", Options(), 2), [[F(-1)], [F(1)]], "prefix", (F(big), F(-big, 7)),
+                         "deterministic", names)
+    assert render_text(plain) == f"[f(n): f(n) = n + {dec}]"
+    assert render_text(q) == f"[f(n): f(n) = q^n - q + {dec}]"
+    assert render_text(series) == f"[[x^n]f(x): f(x) = 1, f(x) = {dec} - ({dec}/7)x + O(x^2)]"
+    for res in (plain, q, series):
+        text = result_to_json(res)
+        assert dec in text
+        back = result_from_json(text)
+        assert back.coeffs == res.coeffs and back.ics == res.ics
+        assert render_text(back) == render_text(res)
