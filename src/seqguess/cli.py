@@ -19,15 +19,15 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 from .errors import CheckFailed, ParseError, ReconstructionAborted, UsageError
 from .guess import Options, guess, guess_class
 from .models import CLASS_NAMES
 from .render import result_to_json, to_obj
-from .rings import RatPoly, fraction_from_dec, int_from_dec
+from .rings import MAX_POWER_BITS, RatPoly, fraction_from_dec, int_from_dec
 
 _CHECK_MODES = {"det": "deterministic", "mc": "montecarlo", "skip": "none"}
-MAX_POWER_BITS = 1 << 22  # largest a^e a term may contain, about 1.26 million digits
 
 
 @dataclass
@@ -255,8 +255,9 @@ def parse_bfile(text: str) -> InputSpec:
             raise ParseError(f"bad b-file index {_clip(fields[0])!r}", lineno, raw.index(fields[0]) + 1) from None
         try:
             val = fraction_from_dec(fields[1])
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad b-file value {_clip(fields[1])!r}", lineno, raw.rindex(fields[1]) + 1) from None
+        except (ValueError, ZeroDivisionError) as exc:
+            why = f": {exc}" if isinstance(exc, UsageError) else ""  # the size limit names itself
+            raise ParseError(f"bad b-file value {_clip(fields[1])!r}{why}", lineno, raw.rindex(fields[1]) + 1) from None
         if prev is None:
             offset = idx
         elif idx != prev + 1:
@@ -348,7 +349,7 @@ def _load_input(args) -> InputSpec:
     if args.file:
         if args.terms:
             raise ParseError("give terms inline or with --file, not both")
-        text = sys.stdin.read() if args.file == "-" else open(args.file, encoding="utf-8").read()
+        text = sys.stdin.read() if args.file == "-" else Path(args.file).read_text(encoding="utf-8")
         if _looks_like_bfile(text):
             return parse_bfile(text)
         spec = parse_sequence(text, args.param)

@@ -173,8 +173,8 @@ def remainder_rows(stream: list, sigma: int, fp: ModPrime, points: list[int] | N
     else:
         if len({x % p for x in points}) != sigma:
             raise BadModulus(f"sample points collide mod {p}")
-        acc = LagrangeAccumulator(fp)
+        acc = LagrangeAccumulator(fp, [[]])
         for x, v in zip(points, stream):
-            lagrange_add(acc, x, -v)
-        M, G = acc.node, acc.to_dense()
+            lagrange_add(acc, x, [-v])
+        M, G = acc.node, acc.to_dense()[0]
     return list(remainder_sequence(M, G, fp))

@@ -8,8 +8,9 @@ data by solving modular images and reconstructing:
                 with a shared modulus and lifted back to Q by balanced
                 rational reconstruction;
   inner level   only when coefficients involve a parameter t: per prime,
-                random evaluation points for t; per-point solutions are
-                interpolated and lifted to ratios of polynomials in t.
+                random evaluation points for t; per-point solution
+                vectors are interpolated into one accumulator with
+                shared points and lifted to ratios of polynomials in t.
 
 Each image yields a shape fingerprint, read off its order basis, and
 its solution columns in normal form (see sigma_normalize).  An image
@@ -25,9 +26,9 @@ same degrees, as in modular gcds (von zur Gathen-Gerhard ch. 6), and
 the record vouches for the prime.  Unlucky moduli are detected by
 comparing fingerprints: a mismatch marks either the new image or
 everything accumulated so far as bad.  Once bad images outnumber the
-good ones by more than two, the prime level drops its state and adopts
-the current image, while the point level gives up on its prime; so one
-unlucky first image costs a bounded number of solves.
+good ones by more than two, the level drops its state and adopts the
+current image; both levels keep this one rule (_admit), so one unlucky
+first prime or point costs a bounded number of solves.
 A reconstruction candidate is only returned after a fresh modulus
 reproduces it exactly; it is reduced there with one inverse, cleared by
 the lcm of its denominators.
@@ -101,9 +102,9 @@ class LiftState:
     level: str = "prime"  # "prime" | "point"
     record: ReductionRecord | None = None
     shape: tuple = ()
-    # prime level: one CrtAccumulator for the whole flat vector;
-    # point level: one LagrangeAccumulator per entry
-    acc: CrtAccumulator | list | None = None
+    # one state for the whole flat vector: a CrtAccumulator at the prime
+    # level, a LagrangeAccumulator at the point level
+    acc: CrtAccumulator | LagrangeAccumulator | None = None
     good_count: int = 0
     bad_count: int = 0
     events: list = field(default_factory=list)
@@ -241,39 +242,49 @@ def _first_image(builder: ProblemBuilder, bounds: list[int], domain: str, opts: 
     raise ReconstructionAborted(f"no stable reconstruction after {MAX_PRIMES} primes")
 
 
-def _inner_solve(read, fp, opts, rng, outer_state):
-    """Lift over the parameter t at one prime.
+def _admit(state: LiftState, record: ReductionRecord, shape: tuple, opts: LiftOptions, *where) -> bool:
+    """The bad-image rule of both levels, on the image at `where` (p, or p, t).
+    False: the image is bad and dropped.  True: the state takes it, first
+    dropping its record and accumulator when this record beats them or bad
+    images outnumber good ones by more than two.  NoSolution when a taken
+    image has no solution column."""
+    bad, all_bad = ("bad_prime", "all_bad") if state.level == "prime" else ("bad_point", "all_bad_points")
+    verdict = check_reduction(record, state, shape)
+    if verdict == "bad":
+        state.bad_count += 1
+        if state.bad_count <= state.good_count + 2:
+            _emit(state, opts, bad, *where)
+            return False
+        verdict = "all_bad"  # the bad images outvote the state: adopt this one
+    if _positive(record) == 0:
+        raise NoSolution(f"a good image at {where} has an empty solution space")
+    if verdict == "all_bad":
+        _emit(state, opts, all_bad, *where)
+        state.record, state.acc = None, None
+        state.good_count = state.bad_count = 0
+    if state.record is None:
+        state.record, state.shape = record, shape
+    return True
+
+
+def _inner_solve(read, fp, opts, rng, events):
+    """Lift over the parameter t at one prime, logging to `events`.
 
     Returns (record, shape, values) with values the Z_p coefficients of
-    the per-slot num/den polynomials in t, or None when bad reductions
-    drown the good ones (the caller aborts).
+    the per-slot num/den polynomials in t; _admit rules on points as on primes.
     """
-    state = LiftState(level="point")
+    state = LiftState(level="point", events=events)
     pending = None  # list of (num, den) per slot
     for tau in _points(rng, fp):
         try:
             record, flat = read(fp, tau, state.record is None)
         except BadModulus:
-            _emit(outer_state, opts, "skip_point", fp.p, tau)
+            _emit(state, opts, "skip_point", fp.p, tau)
             continue
-        verdict = check_reduction(record, state)
-        if verdict != "bad" and _positive(record) == 0:
-            raise NoSolution(f"empty solution space mod {fp.p} at t={tau}")
-        if verdict == "bad":
-            state.bad_count += 1
-            _emit(outer_state, opts, "bad_point", fp.p, tau)
-            if state.bad_count > state.good_count + 2:
-                return None
+        if not _admit(state, record, (), opts, fp.p, tau):
             continue
-        if verdict == "all_bad":
-            _emit(outer_state, opts, "all_bad_points", fp.p, tau)
-            state.record = None
-            state.acc = None
-            state.good_count = state.bad_count = 0
-            pending = None
-        if state.record is None:
-            state.record = record
-            state.acc = [LagrangeAccumulator(fp) for _ in flat]
+        if state.acc is None:
+            state.acc, pending = LagrangeAccumulator(fp, [[] for _ in flat]), None
         if pending is not None:
             ok = _match_poly_candidate(pending, flat, tau, fp)
             if ok:
@@ -282,18 +293,11 @@ def _inner_solve(read, fp, opts, rng, outer_state):
                 return state.record, shape, values
             if ok is False:
                 pending = None
-        for acc, v in zip(state.acc, flat):
-            lagrange_add(acc, tau, v)
+        lagrange_add(state.acc, tau, flat)
         state.good_count += 1
         if reconstruction_due(state):
-            cand = []
-            for acc in state.acc:
-                nd = poly_rat_recon(acc)
-                if nd is None:
-                    cand = None
-                    break
-                cand.append(nd)
-            _emit(outer_state, opts, "point_recon", fp.p, state.good_count, cand is not None)
+            cand = poly_rat_recon(state.acc)
+            _emit(state, opts, "point_recon", fp.p, state.good_count, cand is not None)
             if cand is not None:
                 pending = cand
     raise ReconstructionAborted(f"inner level exhausted {INNER_DRAWS} points mod {fp.p}")
@@ -407,36 +411,17 @@ def _lift(read, bounds: list[int], domain: str, opts: LiftOptions) -> LiftResult
         p = fp.p
         try:
             if domain == "polyrational":
-                inner = _inner_solve(read, fp, opts, rng, state)
-                if inner is None:
-                    raise ReconstructionAborted(f"too many bad evaluation points mod {p}")
-                record, shape, flat = inner
+                record, shape, flat = _inner_solve(read, fp, opts, rng, state.events)
             else:
                 record, flat = read(fp, None, state.record is None)
                 shape = ()
         except BadModulus:
             _emit(state, opts, "skip_prime", p)
             continue
-        verdict = check_reduction(record, state, shape)
-        if verdict == "bad":
-            state.bad_count += 1
-            if state.bad_count <= state.good_count + 2:
-                _emit(state, opts, "bad_prime", p)
-                continue
-            verdict = "all_bad"  # the bad images outvote the state: adopt this one
-        if _positive(record) == 0:
-            raise NoSolution("a good modular image has an empty solution space")
-        if verdict == "all_bad":
-            _emit(state, opts, "all_bad", p)
-            state.record = None
-            state.shape = ()
-            state.acc = None
-            state.good_count = state.bad_count = 0
-            pending = None
-        if state.record is None:
-            state.record = record
-            state.shape = shape
-            state.acc = CrtAccumulator([0] * len(flat))
+        if not _admit(state, record, shape, opts, p):
+            continue
+        if state.acc is None:
+            state.acc, pending = CrtAccumulator([0] * len(flat)), None
         if pending is not None:
             try:
                 if _reduce_flat(pending[1], fp) == flat:

@@ -19,7 +19,9 @@ str() refuse beyond sys.get_int_max_str_digits() digits.
 
 Everything here is deliberately quadratic: schoolbook products, plain
 extended Euclid (remainder_sequence, for Cauchy interpolation and the
-order basis of two streams), incremental Newton interpolation.
+order basis of two streams), incremental Newton interpolation.  CRT and
+interpolation keep one state for a whole vector, its entries sharing the
+moduli (primes; points and their node polynomial).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .errors import UsageError
 from .modarith import ModPrime
 
 
@@ -340,28 +343,35 @@ def crt_combine(acc: CrtAccumulator, images: list, modulus: int) -> CrtAccumulat
 
 
 # ---------------------------------------------------------------------------
-# incremental Newton interpolation over a prime field
+# incremental Newton interpolation over a prime field, one state for a whole vector
 
 
 @dataclass
 class LagrangeAccumulator:
-    """Newton-form interpolant through the points added so far."""
+    """Newton-form interpolants of a vector through the points added so far.
+
+    Entries share the points, the node polynomial and, at each new point,
+    the Newton basis and its one inverse.  Start from one empty list per entry.
+    """
 
     fp: ModPrime
+    newton: list  # per entry, its Newton coefficients
     points: list = field(default_factory=list)
-    newton: list = field(default_factory=list)
     node: list = field(default_factory=lambda: [1])  # prod (t - x_i)
 
     def count(self) -> int:
         return len(self.points)
 
     def to_dense(self) -> list:
-        """Monomial-basis coefficients of the interpolant (Horner on the Newton form)."""
-        p, out = self.fp.p, []
-        for c, x in zip(reversed(self.newton), reversed(self.points)):
-            out = _times_linear(out, x, p)
-            out[0] = (out[0] + c) % p
-        return ptrim(out, self.fp)
+        """Per entry, its interpolant in the monomial basis (Horner on the Newton form)."""
+        p, dense = self.fp.p, []
+        for coeffs in self.newton:
+            out = []
+            for c, x in zip(reversed(coeffs), reversed(self.points)):
+                out = _times_linear(out, x, p)
+                out[0] = (out[0] + c) % p
+            dense.append(ptrim(out, self.fp))
+        return dense
 
 
 def _times_linear(a: list, x: int, p: int) -> list:
@@ -369,21 +379,23 @@ def _times_linear(a: list, x: int, p: int) -> list:
     return [(u - x * v) % p for u, v in zip([0, *a], [*a, 0])]
 
 
-def lagrange_add(acc: LagrangeAccumulator, point: int, value: int) -> LagrangeAccumulator:
-    """Add one (point, value) pair; Newton update, O(#points)."""
-    fp = acc.fp
-    point, value = point % fp.p, value % fp.p
+def lagrange_add(acc: LagrangeAccumulator, point: int, values: list) -> LagrangeAccumulator:
+    """Add one point and the vector's values there; Newton update, O(#points) per entry."""
+    p = acc.fp.p
+    if len(values) != len(acc.newton):
+        raise ValueError(f"value vector has {len(values)} entries, accumulator {len(acc.newton)}")
+    point = point % p
     if point in acc.points:
         raise ValueError(f"repeated interpolation point {point}")
-    # evaluate current interpolant and the Newton basis product at `point`
-    cur = 0
-    prod = 1
-    for c, x in zip(acc.newton, acc.points):
-        cur = (cur + c * prod) % fp.p
-        prod = prod * (point - x) % fp.p
-    acc.newton.append(fp.div(value - cur, prod))
+    basis = [1]  # prod_{j<i} (point - x_j), the Newton basis at `point`
+    for x in acc.points:
+        basis.append(basis[-1] * (point - x) % p)
+    inv = acc.fp.inv(basis.pop())
+    for coeffs, v in zip(acc.newton, values):
+        cur = sum(map(operator.mul, coeffs, basis))
+        coeffs.append((v - cur) * inv % p)
     acc.points.append(point)
-    acc.node = _times_linear(acc.node, point, fp.p)
+    acc.node = _times_linear(acc.node, point, p)
     return acc
 
 
@@ -466,46 +478,45 @@ def remainder_sequence(r0: list, r1: list, fp: ModPrime):
         yield r1, t1
 
 
-def poly_rat_recon(acc: LagrangeAccumulator) -> tuple[list, list] | None:
-    """Cauchy interpolation: num/den through all added points.
+def poly_rat_recon(acc: LagrangeAccumulator) -> list | None:
+    """Cauchy interpolation, entry by entry: num/den through all added points.
 
     Balanced degree split: deg num ≤ K//2, deg den ≤ K-1-K//2 where K is
     the number of points: the first row of remainder_sequence on (node,
-    interpolant) whose remainder has degree ≤ K//2.  The returned pair
-    is coprime with monic denominator; None when no such function fits
-    (including when the would-be denominator vanishes at a sample point).
+    interpolant) whose remainder has degree ≤ K//2.  Each returned pair
+    is coprime with monic denominator; None when an entry fits no such
+    function (or its denominator vanishes at a sample point).
     """
     fp = acc.fp
     K = acc.count()
     if K < 1:
         raise ValueError("no points added yet")
-    M = acc.to_dense()
-    dn = K // 2
-    dd = K - 1 - dn
-    num, den = next((r, t) for r, t in remainder_sequence(acc.node, M, fp) if pdeg(r) <= dn)
-    if not den or pdeg(den) > dd:
-        return None
-    g = pgcd(num, den, fp)
-    if pdeg(g) > 0:
-        num = pdivmod(num, g, fp)[0]
-        den = pdivmod(den, g, fp)[0]
-    inv_lead = fp.inv(den[-1])
-    num = pscale(num, inv_lead, fp)
-    den = pscale(den, inv_lead, fp)
-    # decisive verification at every sample point
-    for x in acc.points:
-        dv = peval(den, x, fp)
-        if dv == 0:
+    dn, dd = K // 2, K - 1 - K // 2
+    out = []
+    for M in acc.to_dense():
+        num, den = next((r, t) for r, t in remainder_sequence(acc.node, M, fp) if pdeg(r) <= dn)
+        if not den or pdeg(den) > dd:
             return None
-        if peval(num, x, fp) != fp.mul(dv, peval(M, x, fp)):
-            return None
-    return num, den
+        g = pgcd(num, den, fp)
+        if pdeg(g) > 0:
+            num = pdivmod(num, g, fp)[0]
+            den = pdivmod(den, g, fp)[0]
+        inv_lead = fp.inv(den[-1])
+        num, den = pscale(num, inv_lead, fp), pscale(den, inv_lead, fp)
+        # decisive verification at every sample point
+        for x in acc.points:
+            dv = peval(den, x, fp)
+            if dv == 0 or peval(num, x, fp) != fp.mul(dv, peval(M, x, fp)):
+                return None
+        out.append((num, den))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # decimal text of any length
 
 _DEC_CHUNK = 600  # digits per int()/str() call, below CPython's smallest settable limit (640)
+MAX_POWER_BITS = 1 << 22  # largest a^e or 10^e (in 1e5) a term's text may ask for, about 1.26 million digits
 
 
 def _digits_to_int(digits: str) -> int:
@@ -538,15 +549,18 @@ def dec_str(n: int) -> str:
 
 def fraction_from_dec(text: str) -> Fraction:
     """Fraction(text), with 'a' and 'a/b' (b unsigned) read digit chunk by
-    chunk; other forms, such as 1.5, as Fraction reads them."""
+    chunk; other forms, such as 1.5 or 2e-3, as Fraction reads them, but an
+    exponent e with 10^e past MAX_POWER_BITS bits is refused before it is built."""
     num, slash, den = text.partition("/")
-    if slash and not den.isdecimal():
-        return Fraction(text)
-    try:
-        n = int_from_dec(num)
-    except ValueError:
-        return Fraction(text)
-    return Fraction(n, _digits_to_int(den) if slash else 1)
+    if not slash or den.isdecimal():
+        try:
+            return Fraction(int_from_dec(num), _digits_to_int(den) if slash else 1)
+        except ValueError:
+            pass
+    _, e, exp = text.upper().partition("E")
+    if e and not slash and abs(int_from_dec(exp)) > MAX_POWER_BITS * math.log10(2):
+        raise UsageError(f"exponent exceeds the size limit MAX_POWER_BITS = {MAX_POWER_BITS} bits")
+    return Fraction(text)
 
 
 def fraction_str(v: Fraction) -> str:

@@ -288,16 +288,16 @@ def test_reconstruction_roundtrips():
                 fp = ModPrime(p)
                 num_p = [reduce_scalar(c, fp) for c in num]
                 den_p = [reduce_scalar(c, fp) for c in den]
-                lag = LagrangeAccumulator(fp=fp)
+                lag = LagrangeAccumulator(fp, [[]])
                 x = 0
                 while lag.count() < 17:
                     dv = peval(den_p, x, fp)
                     if dv != 0:
-                        lagrange_add(lag, x, fp.div(peval(num_p, x, fp), dv))
+                        lagrange_add(lag, x, [fp.div(peval(num_p, x, fp), dv)])
                     x += 1
                 rec = poly_rat_recon(lag)
                 assert rec is not None
-                images.append(rec)
+                images.append(rec[0])
 
             (n1, d1), (n2, d2) = images
             assert len(n1) == len(n2) and len(d1) == len(d2)

@@ -146,6 +146,28 @@ def test_parse_bfile_value_of_any_size_and_clipped_errors():
     assert len(str(err.value)) < 200
 
 
+def test_parse_bfile_exponent_is_bounded(capsys, tmp_path):
+    # exponent notation reaches Fraction, which built 10^e for any e: 1e10000000 took 8 s
+    assert parse_bfile("0 1e3\n1 1.5\n2 -2.5e-3\n3 1_000\n").terms == [F(1000), F(3, 2), F(-1, 400), F(1000)]
+    t0 = time.perf_counter()
+    with pytest.raises(ParseError, match="MAX_POWER_BITS") as exc:
+        parse_bfile("0 1\n1 1e10000000\n")
+    assert (exc.value.line, exc.value.column) == (2, 3)
+    with pytest.raises(ParseError, match="MAX_POWER_BITS"):
+        parse_bfile("0 1\n1 -2.5E-" + "9" * 400 + "\n")
+    bfile = tmp_path / "huge.txt"
+    bfile.write_text("0 1\n1 2\n2 1e99999999\n")
+    assert main(["--file", str(bfile)]) == 2
+    assert "MAX_POWER_BITS" in capsys.readouterr().err
+    # the JSON reader shares the bound
+    assert main(["--json", "0", "1", "4", "9"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    obj["coefficients"][0][0] = "1e99999999"
+    with pytest.raises(ValueError, match="MAX_POWER_BITS"):
+        result_from_json(json.dumps(obj))
+    assert time.perf_counter() - t0 < 5
+
+
 def test_bfile_autodetection():
     assert _looks_like_bfile("0 1\n1 2\n")
     assert _looks_like_bfile(BFILE)

@@ -8,6 +8,8 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from seqguess import guess_prec, lift
 from seqguess.errors import BadModulus, NoSolution
@@ -18,7 +20,7 @@ from seqguess.lift import (
     do_solve,
     reconstruction_due,
 )
-from oracles import first_failure_reference, gen_prec_terms, reduce_scalar
+from oracles import QPARAM, QQ_T, first_failure_reference, gen_prec_terms, qpower_poly, reduce_scalar
 from seqguess.modarith import sample_prime
 from seqguess.models import OrderProblem
 from seqguess.rings import RatPoly
@@ -146,6 +148,24 @@ def test_incompatible_first_image_is_outvoted_promptly():
     res = do_solve(build, [2, 2], "rational", LiftOptions(seed=1))
     assert res.columns == [[[F(1)], [F(-3, 2)]]]
     assert "all_bad" in [e[0] for e in res.state.events]
+    assert len(calls) <= 8
+
+
+def test_incompatible_first_point_is_outvoted_promptly():
+    """The same first image over Q(t): the point level adopts the image the
+    bad points agree on, as the prime level does, and the solve goes on."""
+    calls = []
+
+    def build(fp, t_point):
+        calls.append((fp.p, t_point))
+        streams = [[2, 2], [0, 0]] if len(calls) == 1 else [[-3, 3], [-2, 2]]
+        return OrderProblem(
+            streams=[[v % fp.p for v in s] for s in streams], points=[0, 1], sigma=2
+        )
+
+    res = do_solve(build, [2, 2], "polyrational", LiftOptions(seed=1))
+    assert res.columns == [[[RatPoly.const(1)], [RatPoly.const(F(-3, 2))]]]
+    assert "all_bad_points" in [e[0] for e in res.state.events]
     assert len(calls) <= 8
 
 
@@ -298,3 +318,26 @@ def test_planted_big_coefficients_are_recovered(case, monkeypatch):
     assert max(max(mo.parts) - 1 for mo, c in zip(first.schema.monomials, first.coeffs) if c) <= order
     # the held-out terms are annihilated too, judged by the reference arithmetic
     assert first_failure_reference(first.coeffs, first.schema, terms) is None
+
+
+# ---------------------------------------------------------------------------
+# a planted q-recurrence, lifted through the point level on the order-basis path
+
+_QCOEFF = st.lists(st.integers(-3, 3), min_size=1, max_size=2)  # a small polynomial in q
+
+
+@settings(deadline=None, derandomize=True, max_examples=12)
+@given(st.lists(_QCOEFF, min_size=1, max_size=3).filter(lambda a: any(a[-1])), st.sampled_from((1, -1, 2, -3)))
+def test_planted_q_recurrence_is_recovered(a, b):
+    """b f(n+1) = a(q^n) f(n), f(0) = 1, with a in Z[q][X] and b constant;
+    the first result must annihilate the held-out terms too."""
+    fit, held_out = 2 * (len(a) + 1) + 2, 4
+    assume(all(any(qpower_poly(a, n)) for n in range(fit + held_out)))
+    terms = [RatPoly.const(1)]
+    for n in range(fit + held_out - 1):
+        terms.append(terms[-1] * RatPoly.make(qpower_poly(a, n)) / b)
+    results = guess_prec(terms[:fit], q=True, homogeneous=1, max_shift=1)
+    assert results, "the planted recurrence was not recovered"
+    first = results[0]
+    assert sum(len(c) for c in first.coeffs) <= 1 + len(a)
+    assert first_failure_reference(first.coeffs, first.schema, terms, QQ_T, QPARAM) is None

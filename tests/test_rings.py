@@ -203,23 +203,23 @@ def test_crt_roundtrip_random(vec, primes):
 
 def test_lagrange_frozen_square():
     fp = ModPrime(7)
-    acc = LagrangeAccumulator(fp)
+    acc = LagrangeAccumulator(fp, [[]])
     for x, y in [(0, 0), (1, 1), (2, 4)]:
-        lagrange_add(acc, x, y)
+        lagrange_add(acc, x, [y])
     assert acc.count() == 3
-    assert ptrim(acc.to_dense(), fp) == [0, 0, 1]
+    assert ptrim(acc.to_dense()[0], fp) == [0, 0, 1]
     # node polynomial x(x-1)(x-2) = x^3 - 3x^2 + 2x over Z/7
     assert acc.node == [0, 2, 4, 1]
 
 
 def test_lagrange_rejects_repeated_point():
     fp = ModPrime(7)
-    acc = LagrangeAccumulator(fp)
-    lagrange_add(acc, 3, 1)
+    acc = LagrangeAccumulator(fp, [[]])
+    lagrange_add(acc, 3, [1])
     with pytest.raises(ValueError):
-        lagrange_add(acc, 3, 5)
+        lagrange_add(acc, 3, [5])
     with pytest.raises(ValueError):
-        lagrange_add(acc, 10, 5)  # 10 = 3 mod 7
+        lagrange_add(acc, 10, [5])  # 10 = 3 mod 7
 
 
 def test_lagrange_roundtrip_random():
@@ -229,10 +229,42 @@ def test_lagrange_roundtrip_random():
         poly = [rng.randrange(fp.p) for _ in range(rng.randint(1, 9))]
         poly = ptrim(poly, fp)
         pts = rng.sample(range(fp.p), len(poly) + 1)
-        acc = LagrangeAccumulator(fp)
+        acc = LagrangeAccumulator(fp, [[]])
         for x in pts:
-            lagrange_add(acc, x, peval(poly, x, fp))
-        assert ptrim(acc.to_dense(), fp) == poly
+            lagrange_add(acc, x, [peval(poly, x, fp)])
+        assert ptrim(acc.to_dense()[0], fp) == poly
+
+
+def test_lagrange_vector_matches_one_accumulator_per_entry():
+    """A k-entry accumulator interpolates and reconstructs each entry as k
+    one-entry accumulators do, on random points and values."""
+    fp = ModPrime(10007)
+    rng = random.Random(5)
+    for _ in range(30):
+        k = rng.randint(1, 5)
+        vec = LagrangeAccumulator(fp, [[] for _ in range(k)])
+        singles = [LagrangeAccumulator(fp, [[]]) for _ in range(k)]
+        for x in rng.sample(range(fp.p), rng.randint(1, 9)):
+            values = [rng.randrange(fp.p) if rng.random() < 0.7 else 0 for _ in range(k)]
+            lagrange_add(vec, x, values)
+            for acc, v in zip(singles, values):
+                lagrange_add(acc, x, [v])
+        assert vec.node == singles[0].node
+        assert vec.to_dense() == [acc.to_dense()[0] for acc in singles]
+        each = [poly_rat_recon(acc) for acc in singles]
+        assert poly_rat_recon(vec) == (None if None in each else [r[0] for r in each])
+
+
+def test_lagrange_rejects_a_vector_of_the_wrong_length():
+    fp = ModPrime(7)
+    acc = LagrangeAccumulator(fp, [[], []])
+    with pytest.raises(ValueError):
+        lagrange_add(acc, 1, [3])
+    with pytest.raises(ValueError):
+        lagrange_add(acc, 1, [3, 4, 5])
+    assert acc.count() == 0
+    lagrange_add(acc, 1, [3, 4])
+    assert acc.to_dense() == [[3], [4]]
 
 
 # ---------------------------------------------------------------------------
@@ -300,26 +332,26 @@ def test_rat_recon_vec_failure_is_none():
 def test_poly_rat_recon_frozen_mobius():
     # samples of 1/(t-2) over Z/7 (t=2 excluded)
     fp = ModPrime(7)
-    acc = LagrangeAccumulator(fp)
+    acc = LagrangeAccumulator(fp, [[]])
     for x in [0, 1, 3, 4]:
-        lagrange_add(acc, x, fp.inv((x - 2) % 7))
-    assert poly_rat_recon(acc) == ([1], [5, 1])
+        lagrange_add(acc, x, [fp.inv((x - 2) % 7)])
+    assert poly_rat_recon(acc) == [([1], [5, 1])]
 
 
 def test_poly_rat_recon_frozen_proper_fraction():
     # -2t/(t-3): num degree 1, den degree 1, K=3 samples
     fp = ModPrime(7)
-    acc = LagrangeAccumulator(fp)
+    acc = LagrangeAccumulator(fp, [[]])
     for x, y in [(0, 0), (1, 1), (2, 4)]:
-        lagrange_add(acc, x, y)
-    assert poly_rat_recon(acc) == ([0, 5], [4, 1])
+        lagrange_add(acc, x, [y])
+    assert poly_rat_recon(acc) == [([0, 5], [4, 1])]
 
 
 def test_poly_rat_recon_inconsistent_returns_none():
     fp = ModPrime(7)
-    acc = LagrangeAccumulator(fp)
+    acc = LagrangeAccumulator(fp, [[]])
     for x, y in [(0, 1), (1, 0), (2, 1)]:
-        lagrange_add(acc, x, y)
+        lagrange_add(acc, x, [y])
     assert poly_rat_recon(acc) is None
 
 
@@ -333,12 +365,12 @@ def test_poly_rat_recon_roundtrip_random():
         if not num or ptrim(pgcd(num, den, fp), fp) != [1]:
             continue
         pts = []
-        acc = LagrangeAccumulator(fp)
+        acc = LagrangeAccumulator(fp, [[]])
         while len(pts) < 9:
             x = rng.randrange(fp.p)
             if x in pts or peval(den, x, fp) == 0:
                 continue
             pts.append(x)
-            lagrange_add(acc, x, fp.div(peval(num, x, fp), peval(den, x, fp)))
-        assert poly_rat_recon(acc) == (num, den)
+            lagrange_add(acc, x, [fp.div(peval(num, x, fp), peval(den, x, fp))])
+        assert poly_rat_recon(acc) == [(num, den)]
         done += 1
