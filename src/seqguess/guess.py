@@ -269,7 +269,7 @@ class _TermImages:
     def __init__(self, terms, q: bool):
         self.q = q
         self.nums, self.den = _clear(terms, q)
-        self.by_prime: dict = {}  # p -> the Z[q] lists mod p
+        self.by_prime: dict = {}  # p -> D and the numerators mod p: ints, or Z[q] lists
         self.memos: dict = {}  # (p, point) -> (residues, memo), None where D vanishes; q value -> (ints, memo)
         self.schemas: dict = {}  # schema -> (norm, builds) of _exact_failure
         self.columns: dict = {}  # candidate column -> store of its flattened coefficients
@@ -289,19 +289,30 @@ class _TermImages:
             raise BadModulus(f"term denominator vanishes mod {fp.p} at q={point}")
         return self.memos[key]
 
+    def reduce_for(self, fps: list[ModPrime]):
+        """Over Q, by_prime for several primes at once: each cleared value
+        is reduced once modulo the product of the primes not yet held, then
+        that remainder once per prime."""
+        fps = [fp for fp in fps if fp.p not in self.by_prime]
+        P = math.prod(fp.p for fp in fps)
+        cleared = [t % P for t in (self.den, *self.nums)]
+        for fp in fps:
+            self.by_prime[fp.p] = [t % fp.p for t in cleared]
+
     def _residues(self, fp: ModPrime, point):
         """Over Q one inverse of D per prime; over Q(q) the lists are
         reduced once per prime and evaluated by Horner at each point."""
         p = fp.p
-        nums, den = self.nums, self.den
+        if p not in self.by_prime:
+            cleared = (self.den, *self.nums)
+            self.by_prime[p] = [[c % p for c in t] for t in cleared] if self.q else [t % p for t in cleared]
+        den, *nums = self.by_prime[p]
         if self.q:
-            if p not in self.by_prime:
-                self.by_prime[p] = [[c % p for c in t] for t in (den, *nums)]
-            den, *nums = (peval(t, point, fp) for t in self.by_prime[p])
-        if den % p == 0:
+            den, *nums = (peval(t, point, fp) for t in (den, *nums))
+        if den == 0:
             return None
         inv = pow(den, -1, p)
-        return [c % p * inv % p for c in nums], {}
+        return [c * inv % p for c in nums], {}
 
     def exact(self, x):
         """(the cleared terms over ZZ at q = x, or as they are for x None, memo)."""
@@ -450,10 +461,12 @@ def _make_builder(store: _TermImages, schema: Schema, pair: bool = False):
     in q mode, the same points), so each is cut to the schema once, and
     for a `pair` schema its remainder sequence is run once; the rows'
     lift is shared through the row store that _search keeps beside it.
+    A list of primes (a lift batch, over Q) reduces the terms for all of
+    them at once and gives each prime's problem, or its BadModulus.
     """
     images: dict = {}
 
-    def builder(fp, t_point):
+    def image(fp, t_point):
         key = (fp.p, t_point)
         if key not in images:
             terms, memo = store.modular(fp, t_point)
@@ -462,6 +475,18 @@ def _make_builder(store: _TermImages, schema: Schema, pair: bool = False):
                 prob.rows = remainder_rows(prob.streams[1], prob.sigma, fp, prob.points)
             images[key] = prob
         return images[key]
+
+    def builder(fp, t_point):
+        if not isinstance(fp, list):
+            return image(fp, t_point)
+        store.reduce_for(fp)
+        out = []
+        for one in fp:
+            try:
+                out.append(image(one, None))
+            except BadModulus as exc:
+                out.append(exc)
+        return out
 
     return builder
 

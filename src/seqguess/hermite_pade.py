@@ -29,14 +29,25 @@ defect, its own critical index being the first component to reach it.
 This is exact mod p; sigma_normalize checks the defects against the
 degrees.
 
-All columns share one int64 array M of shape (m, sigma + m * cap).  Row
-k holds column k's sigma residuals (the order conditions applied to the
-column), then its coefficients degree-major: slot sigma + d*m + l is the
-x^d coefficient of component l.  Step j only touches M[:, j:sigma + w*m]
-with w = (max degree) + 2: earlier residuals are already zero, and so
-are the coefficients past the maximum degree.  Every entry is a residue
-below p < 2**31, so a product of two residues is below 2**62; the sum is
-reduced after every single multiply-add and never overflows int64.
+sigma_bases runs K images of one problem in lockstep (sigma_basis is
+its K = 1 case), each with its own prime and points.  All share one int64
+array M indexed (slot, image, row), of sigma + m * cap slots.  Row k of
+an image holds column k's sigma residuals (the order conditions applied
+to the column), then its coefficients degree-major: slot sigma + d*m + l
+is the x^d coefficient of component l.  Step j only touches M[j:sigma +
+w*m] with w = (max degree) + 2, one contiguous block: earlier residuals
+are already zero, and so are the coefficients past the maximum degree.
+Every entry is a residue below p < 2**31, so a product of two residues
+is below 2**62; the sum is reduced after every single multiply-add and
+never overflows int64.
+
+The pivot choice and the defect bookkeeping depend only on which
+residuals are live (nonzero), so the images share them as long as their
+live patterns agree.  At a step where an image's pattern departs from
+the batch's (the union: a residual that vanishes modulo its prime only),
+that image leaves and is solved alone, and one whose points collide
+fails alone; so every image gets the basis sigma_basis gives it.  The
+lift batches the primes it reads between two reconstruction attempts.
 
 For two streams (1, s), one extended Euclid run serves every degree
 split (remainder_rows); the search uses it when a schema has few
@@ -81,7 +92,7 @@ def sigma_basis(
     points: list[int] | None = None,
     need_solution: bool = False,
 ) -> SigmaBasisResult:
-    """Order basis of the first `sigma` conditions.
+    """Order basis of the first `sigma` conditions: sigma_bases on one image.
 
     streams[l] holds sigma residues: values at `points` in the sequence
     form, low-order series coefficients in the series form.  bounds[l]
@@ -93,56 +104,115 @@ def sigma_basis(
     the next one, so the largest defect never rises again and the full
     basis would have no solution column either.
     """
-    m = len(streams)
-    if len(bounds) != m:
+    (out,) = sigma_bases([streams], bounds, sigma, [fp], None if points is None else [points], need_solution)
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def sigma_bases(
+    streams: list,
+    bounds: list[int],
+    sigma: int,
+    fps: list[ModPrime],
+    points: list | None = None,
+    need_solution: bool = False,
+) -> list:
+    """Order bases of K images of one problem, in lockstep.
+
+    Image i has the streams streams[i] and the points points[i], residues
+    modulo fps[i].p.  Returns, per image, what sigma_basis returns on that
+    image alone: its SigmaBasisResult, or the BadModulus or NoSolution it
+    would raise.  An image whose points collide is dropped at the start;
+    one whose live pattern departs from the batch's is solved alone.
+    """
+    m = len(bounds)
+    if any(len(s) != m for s in streams):
         raise ValueError("one degree bound per stream required")
-    if any(len(s) != sigma for s in streams):
+    if any(len(row) != sigma for s in streams for row in s):
         raise ValueError("each stream must provide exactly sigma residues")
+    if points is not None and any(len(pts) != sigma for pts in points):
+        raise ValueError("need exactly sigma sample points")
     import numpy as np  # only here: a search that builds no order basis never loads numpy
-    p = fp.p
-    cap = sigma + 1  # a degree grows by at most one per step
-    # column-major, so that every window M[:, a:b] is one contiguous block
-    M = np.zeros((m, sigma + m * cap), dtype=np.int64, order="F")
-    M[:, :sigma] = streams
-    M[:, :sigma] %= p
-    for k in range(m):
-        M[k, sigma + k] = 1
+    out: list = [None] * len(fps)
     if points is not None:
-        if len(points) != sigma:
-            raise ValueError("need exactly sigma sample points")
-        pts = [x % p for x in points]
-        if len(set(pts)) != sigma:
-            raise BadModulus(f"sample points collide mod {p}")
-        ext = np.zeros(M.shape[1], dtype=np.int64)  # points, then 0 under every coefficient
-        ext[:sigma] = pts
+        points = [[x % fp.p for x in pts] for pts, fp in zip(points, fps)]
+        for i, (pts, fp) in enumerate(zip(points, fps)):
+            if len(set(pts)) != sigma:
+                out[i] = BadModulus(f"sample points collide mod {fp.p}")
+    batch = [i for i, o in enumerate(out) if o is None]  # images still in lockstep
+    if not batch:
+        return out
+    solo: list[int] = []  # images that left the batch
+    cap = sigma + 1  # a degree grows by at most one per step
+    # slot-major, so that every window M[a:b] is one contiguous block
+    M = np.zeros((sigma + m * cap, len(batch), m), dtype=np.int64)
+    M[:sigma].reshape(sigma, -1).T[:] = [row for i in batch for row in streams[i]]
+    for k in range(m):
+        M[sigma + k, :, k] = 1
+    if points is not None:  # points, then 0 under every coefficient
+        ext = np.zeros(M.shape[:2], dtype=np.int64)
+        ext[:sigma].T[:] = [points[i] for i in batch]
+
+    def lanes():
+        """The batch's primes; their moduli broadcast against the pivot's
+        (slot, image) view and against the (slot, image, row) window; the
+        image index of that view (0 for one image: 1-D views are faster);
+        the points, viewed as the pivot is."""
+        ps = [fps[i].p for i in batch]
+        sel = 0 if len(ps) == 1 else slice(None)
+        X = None if points is None else ext[:, sel]
+        if len(ps) == 1:
+            return ps, ps[0], ps[0], sel, X
+        P = np.array(ps, dtype=np.int64)
+        return ps, P, P[:, None], sel, X
+
+    ps, mod2, mod3, sel, X = lanes()
+    M[:sigma] %= mod3
 
     defects = list(bounds)
     maxdeg = [0] * m  # per column, an upper bound on its degree
     hi = 0  # max(maxdeg)
 
     for j in range(sigma):
-        rj = M[:, j].tolist()
-        live = [k for k in range(m) if rj[k]]
+        rows = M[j].tolist()  # per image, the step's residuals
+        if len(rows) == 1:
+            live = [k for k in range(m) if rows[0][k]]
+        else:  # the batch's live pattern; an image that departs from it leaves
+            live = [k for k, col in enumerate(zip(*rows)) if any(col)]
+            stay = [a for a, r in enumerate(rows) if all(r[k] for k in live)]
+            if len(stay) < len(rows):
+                solo += [batch[a] for a in range(len(rows)) if a not in stay]
+                batch, rows, M = [batch[a] for a in stay], [rows[a] for a in stay], M[:, stay]
+                if points is not None:
+                    ext = ext[:, stay]
+                if not batch:
+                    break
+                ps, mod2, mod3, sel, X = lanes()
         if not live:
             continue
         piv = max(live, key=lambda k: (defects[k], k))  # the last of largest defect
         end = sigma + (hi + 2) * m
-        V = M[:, j:end]
+        V = M[j:end]
+        Vs = V[:, sel]  # (slot, row), or (slot, image, row) for several images
+        R, cut = Vs[..., piv], sigma - j  # the pivot column of every image
         if len(live) > 1:
-            r_inv = pow(rj[piv], -1, p)
-            c = [0] * m
+            C = []  # per image, the multiple of the pivot each column adds
+            for r, p in zip(rows, ps):
+                neg_inv = p - pow(r[piv], -1, p)
+                c = [x * neg_inv % p for x in r]
+                c[piv] = 0
+                C.append(c)
             for k in live:
                 if k != piv:
-                    c[k] = -rj[k] * r_inv % p
                     maxdeg[k] = max(maxdeg[k], maxdeg[piv])
-            V += np.multiply.outer(V[piv], c).T  # laid out like V
-            V %= p
+            Vs += R[..., None] * C[sel]
+            V %= mod3
         # pivot <- (x - x_j) * pivot, residuals and coefficients alike
-        R, cut = V[piv], sigma - j
         if points is not None:
-            t = R * (ext[j:end] - pts[j])  # factors in (-p, p): |t| < 2**62
+            t = R * (X[j:end] - X[j])  # factors in (-p, p): |t| < 2**62
             t[cut + m:] += R[cut:-m]
-            np.remainder(t, p, out=R)
+            np.remainder(t, mod2, out=R)
         else:
             R[1:cut] = R[:cut - 1]
             R[0] = 0
@@ -152,12 +222,20 @@ def sigma_basis(
         hi = max(hi, maxdeg[piv])
         defects[piv] -= 1  # the only defect a step changes (see the invariant)
         if need_solution and max(defects) <= 0:
-            raise NoSolution(f"empty solution space mod {p} after {j + 1} of {sigma} conditions")
+            for i, p in zip(batch, ps):
+                out[i] = NoSolution(f"empty solution space mod {p} after {j + 1} of {sigma} conditions")
+            batch = []
+            break
 
-    block = M.T[sigma:sigma + (hi + 1) * m].reshape(hi + 1, m, m)  # [d, l, k], a view of M
-    lengths = ((block != 0) * np.arange(1, hi + 2)[:, None, None]).max(axis=0).T
-    coeffs = block[: lengths.max()].transpose(2, 1, 0)
-    return SigmaBasisResult(coeffs=coeffs, degrees=lengths - 1, defects=defects, bounds=list(bounds), fp=fp)
+    for a, i in enumerate(batch):
+        block = M[sigma:sigma + (hi + 1) * m, a].reshape(hi + 1, m, m)  # [d, l, k], a view of M
+        lengths = ((block != 0) * np.arange(1, hi + 2)[:, None, None]).max(axis=0).T
+        out[i] = SigmaBasisResult(coeffs=block[: lengths.max()].transpose(2, 1, 0), degrees=lengths - 1,
+                                  defects=list(defects), bounds=list(bounds), fp=fps[i])
+    for i in solo:
+        (out[i],) = sigma_bases([streams[i]], bounds, sigma, [fps[i]], None if points is None else [points[i]],
+                                need_solution)
+    return out
 
 
 def remainder_rows(stream: list, sigma: int, fp: ModPrime, points: list[int] | None = None) -> list:

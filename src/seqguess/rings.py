@@ -548,19 +548,26 @@ def dec_str(n: int) -> str:
 
 
 def fraction_from_dec(text: str) -> Fraction:
-    """Fraction(text), with 'a' and 'a/b' (b unsigned) read digit chunk by
-    chunk; other forms, such as 1.5 or 2e-3, as Fraction reads them, but an
-    exponent e with 10^e past MAX_POWER_BITS bits is refused before it is built."""
+    """Fraction(text), with 'a', 'a/b' (b unsigned) and 'a.b' with an
+    optional exponent, such as 1.5 or -2e-3, read digit chunk by chunk; an
+    exponent e with 10^e past MAX_POWER_BITS bits is refused before it is
+    built.  Other forms, such as 1_000.5, as Fraction reads them."""
     num, slash, den = text.partition("/")
     if not slash or den.isdecimal():
         try:
             return Fraction(int_from_dec(num), _digits_to_int(den) if slash else 1)
         except ValueError:
             pass
-    _, e, exp = text.upper().partition("E")
-    if e and not slash and abs(int_from_dec(exp)) > MAX_POWER_BITS * math.log10(2):
+    mantissa, e, exp = text.upper().partition("E")
+    shift = int_from_dec(exp) if e and not slash else 0
+    if abs(shift) > MAX_POWER_BITS * math.log10(2):
         raise UsageError(f"exponent exceeds the size limit MAX_POWER_BITS = {MAX_POWER_BITS} bits")
-    return Fraction(text)
+    sign = mantissa[:1] if mantissa[:1] in ("+", "-") else ""
+    whole, _, frac = mantissa[len(sign):].partition(".")
+    if slash or not (whole + frac).isdecimal():
+        return Fraction(text)
+    v = _digits_to_int(whole + frac) * Fraction(10) ** (shift - len(frac))
+    return -v if sign == "-" else v
 
 
 def fraction_str(v: Fraction) -> str:

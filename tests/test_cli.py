@@ -168,6 +168,19 @@ def test_parse_bfile_exponent_is_bounded(capsys, tmp_path):
     assert time.perf_counter() - t0 < 5
 
 
+def test_parse_bfile_reads_long_decimal_and_exponent_values(capsys):
+    """Values of 5,001 and 5,002 characters with a point or an exponent,
+    past CPython's int() limit of 4,300 digits, in a b-file and in JSON."""
+    ones = (10**5000 - 1) // 9  # 5,000 ones
+    point, exponent = "1." + "5" * 5000, "1" * 5000 + "e2"
+    spec = parse_bfile(f"0 1\n1 {point}\n2 {exponent}\n3 -{exponent[:-1]}-2\n")
+    assert spec.terms == [F(1), 1 + F(5 * ones, 10**5000), F(ones * 100), F(-ones, 100)]
+    assert main(["--json", "0", "1", "4", "9"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    obj["coefficients"][0][2], obj["coefficients"][1][0] = point, exponent
+    assert result_from_json(json.dumps(obj)).coeffs == [[F(0), F(0), 1 + F(5 * ones, 10**5000)], [F(ones * 100)]]
+
+
 def test_bfile_autodetection():
     assert _looks_like_bfile("0 1\n1 2\n")
     assert _looks_like_bfile(BFILE)

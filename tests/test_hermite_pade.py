@@ -15,8 +15,9 @@ from oracles import (
     order_basis_instances,
 )
 from seqguess.errors import BadModulus, NoSolution
-from seqguess.hermite_pade import sigma_basis
-from seqguess.modarith import ModPrime
+from seqguess import hermite_pade
+from seqguess.hermite_pade import sigma_bases, sigma_basis
+from seqguess.modarith import ModPrime, sample_prime
 
 P = 10007
 FP = ModPrime(P)
@@ -243,3 +244,164 @@ def test_pivot_rule_keeps_column_k_critical_at_k(series):
             crits = [critical_index([res.poly(k, l) for l in range(res.m)], bounds) for k in range(res.m)]
             assert crits == list(range(res.m))
     assert returned
+
+
+# ---------------------------------------------------------------------------
+# lockstep images: sigma_bases gives every image what sigma_basis gives it alone
+
+
+
+def _lockstep_primes():
+    """The largest 31-bit prime, nine more, and small primes, modulo which
+    residuals vanish and points collide for one image only."""
+    rng, large = random.Random(77), {2**31 - 1}
+    while len(large) < 10:
+        large.add(sample_prime(31, exclude=large, rng=rng))
+    return [ModPrime(p) for p in sorted(large, reverse=True) + [5, 7, 11, 13, 101, 65537]]
+
+
+LOCKSTEP_PRIMES = _lockstep_primes()
+
+
+def _alone(streams, bounds, sigma, fp, points, need_solution):
+    try:
+        return sigma_basis(streams, bounds, sigma, fp, points=points, need_solution=need_solution)
+    except (BadModulus, NoSolution) as exc:
+        return exc
+
+
+def _assert_each_image_alone(streams, bounds, sigma, fps, points, need_solution=False):
+    got = hermite_pade.sigma_bases(streams, bounds, sigma, fps, points, need_solution)
+    assert len(got) == len(fps)
+    for i, (out, fp) in enumerate(zip(got, fps)):
+        ref = _alone(streams[i], bounds, sigma, fp, None if points is None else points[i], need_solution)
+        assert type(out) is type(ref)
+        if isinstance(ref, Exception):
+            assert str(out) == str(ref)
+            continue
+        assert out.fp is fp and out.bounds == ref.bounds and out.defects == ref.defects
+        assert np.array_equal(out.degrees, ref.degrees)
+        assert np.array_equal(out.coeffs, ref.coeffs)
+    return got
+
+
+def _exact_instance(rng, series):
+    """Integer streams with a planted in-bound relation, and integer points:
+    the images of one exact problem share its zero residuals."""
+    m = rng.randint(2, 5)
+    bounds = [rng.randint(1, 5) for _ in range(m)]
+    sigma = rng.randint(1, sum(bounds) + 4)
+    points = None if series else rng.sample(range(10**6), sigma)
+    streams = [[rng.randint(-10**12, 10**12) for _ in range(sigma)] for _ in range(m)]
+    if rng.random() < 0.5:  # the last stream cancels sum_l vec_l * stream_l
+        vec = [[rng.randint(-9, 9) for _ in range(b)] for b in bounds[:-1]]
+        for j in range(sigma):
+            if series:
+                acc = sum(c[e] * s[j - e] for c, s in zip(vec, streams) for e in range(min(len(c), j + 1)))
+            else:
+                acc = sum(sum(ce * points[j] ** e for e, ce in enumerate(c)) * s[j] for c, s in zip(vec, streams))
+            streams[-1][j] = -acc
+    return streams, bounds, sigma, points
+
+
+def _count_solo(monkeypatch):
+    """Images that leave a batch are solved by a one-image call from inside it."""
+    calls, depth = [0], [0]
+    inner = hermite_pade.sigma_bases
+
+    def counted(*args, **kw):
+        calls[0] += depth[0] > 0
+        depth[0] += 1
+        try:
+            return inner(*args, **kw)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(hermite_pade, "sigma_bases", counted)
+    return calls
+
+
+@pytest.mark.parametrize("series", [False, True], ids=["sequence", "series"])
+def test_lockstep_images_equal_each_image_alone(series, monkeypatch):
+    rng = random.Random(20 + series)
+    solo = _count_solo(monkeypatch)
+    seen = set()
+    for trial in range(150):
+        K = rng.randint(1, 12)
+        fps = rng.sample(LOCKSTEP_PRIMES, K)
+        streams, bounds, sigma, points = _exact_instance(rng, series)
+        images = [[[v % fp.p for v in s] for s in streams] for fp in fps]
+        pts = None if series else [[x % fp.p for x in points] for fp in fps]
+        need_solution = trial % 3 == 0
+        for out in _assert_each_image_alone(images, bounds, sigma, fps, pts, need_solution):
+            seen.add(type(out).__name__)
+    assert solo[0] > 0  # some image left its batch
+    assert seen >= {"SigmaBasisResult", "NoSolution"} | (set() if series else {"BadModulus"})
+
+
+@pytest.mark.parametrize("series", [False, True], ids=["sequence", "series"])
+def test_an_image_whose_residual_vanishes_mod_its_prime_only_leaves(series, monkeypatch):
+    """At step j, one image gets a residual that is zero modulo its prime
+    only: it is solved alone and every other image stays in lockstep."""
+    rng = random.Random(30 + series)
+    fps, i = LOCKSTEP_PRIMES[:6], 2
+    p, m, bounds, sigma = fps[i].p, 3, [4, 4, 4], 10
+    points = None if series else [list(range(1, sigma + 1)) for _ in fps]
+    for j in (0, 1, 5, sigma - 1):
+        streams = [[[rng.randrange(fp.p) for _ in range(sigma)] for _ in range(m)] for fp in fps]
+        mine = streams[i]
+        # before step j, the columns are those of the basis of the first j conditions
+        if j:
+            head = sigma_basis([s[:j] for s in mine], bounds, j, fps[i], points=None if series else points[i][:j])
+            columns = [[head.poly(k, l) for l in range(m)] for k in range(m)]
+        else:
+            columns = [[[1] if l == k else [] for l in range(m)] for k in range(m)]
+        # a column's residual j is sum_l of the x^j coefficient of poly_l *
+        # stream_l (series), or of poly_l(x_j) * stream_l[j]; pick a column
+        # and a component whose stream_l[j] enters with a unit factor
+        def factor(c):
+            return (c[0] if c else 0) if series else sum(ce * pow(points[i][j], e, p) for e, ce in enumerate(c)) % p
+
+        polys, l0 = next((c, l) for c in columns for l in range(m) if factor(c[l]) % p)
+
+        def residual():
+            if series:
+                return sum(ce * s[j - e] for c, s in zip(polys, mine) for e, ce in enumerate(c[:j + 1]))
+            return sum(factor(c) * s[j] for c, s in zip(polys, mine))
+
+        mine[l0][j] = 0
+        mine[l0][j] = -residual() * pow(factor(polys[l0]), -1, p) % p
+        assert residual() % p == 0
+        solo = _count_solo(monkeypatch)
+        _assert_each_image_alone(streams, bounds, sigma, fps, points)
+        assert solo[0] == 1
+        monkeypatch.undo()
+
+
+def test_colliding_points_fail_their_image_only():
+    fps = LOCKSTEP_PRIMES[:4]
+    rng = random.Random(40)
+    m, bounds, sigma = 3, [3, 3, 2], 6
+    streams = [[[rng.randrange(fp.p) for _ in range(sigma)] for _ in range(m)] for fp in fps]
+    points = [list(range(sigma)) for _ in fps]
+    points[1] = [0, 1, 2, 3, 4, fps[1].p + 3]  # 3 twice modulo fps[1]
+    got = _assert_each_image_alone(streams, bounds, sigma, fps, points)
+    assert [type(g).__name__ for g in got] == ["SigmaBasisResult", "BadModulus", "SigmaBasisResult", "SigmaBasisResult"]
+    assert str(got[1]) == f"sample points collide mod {fps[1].p}"
+    # every image colliding leaves nothing to run
+    assert all(isinstance(g, BadModulus) for g in sigma_bases(streams[:1], bounds, sigma, fps[:1], [[5] * sigma]))
+
+
+@pytest.mark.parametrize("series", [False, True], ids=["sequence", "series"])
+def test_need_solution_stops_a_batch_early(series):
+    """Four unknowns against eight conditions: no image has a solution and
+    each stops early; with ten unknowns each returns its basis."""
+    rng = random.Random(50 + series)
+    fps = LOCKSTEP_PRIMES[:5]
+    sigma = 8
+    points = None if series else [list(range(sigma)) for _ in fps]
+    streams = [[[rng.randrange(fp.p) for _ in range(sigma)] for _ in range(2)] for fp in fps]
+    got = _assert_each_image_alone(streams, [2, 2], sigma, fps, points, need_solution=True)
+    assert all(isinstance(g, NoSolution) for g in got)
+    got = _assert_each_image_alone(streams, [5, 5], sigma, fps, points, need_solution=True)
+    assert all(max(g.defects) >= 1 for g in got)

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import seqguess
 from seqguess import guess_prec, lift
-from seqguess.errors import BadModulus, NoSolution
+from seqguess.errors import BadModulus, CheckFailed, NoSolution, ReconstructionAborted
 from seqguess.lift import (
     LiftOptions,
     LiftState,
@@ -318,6 +319,128 @@ def test_planted_big_coefficients_are_recovered(case, monkeypatch):
     assert max(max(mo.parts) - 1 for mo, c in zip(first.schema.monomials, first.coeffs) if c) <= order
     # the held-out terms are annihilated too, judged by the reference arithmetic
     assert first_failure_reference(first.coeffs, first.schema, terms) is None
+
+
+_PLANTED_HELD_OUT = 6
+
+
+@st.composite
+def _planted_prec(draw):
+    """(order, degree, coefficient polynomials c_k, initial terms) of
+    f(n + order) = -sum_k c_k(n) f(n + k), coefficients of 1 to 80 digits:
+    past about 70 the solve runs past 16 primes and reads batches."""
+    order, deg, digits = draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(st.sampled_from(range(1, 81)))
+    coeff = st.builds(int.__mul__, st.sampled_from((1, -1)), st.integers(10 ** (digits - 1), 10**digits - 1))
+    coeffs = draw(st.lists(st.lists(coeff, min_size=deg + 1, max_size=deg + 1), min_size=order, max_size=order))
+    return order, deg, coeffs, draw(st.lists(st.integers(1, 5), min_size=order, max_size=order))
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(_planted_prec())
+def test_planted_recurrence_is_recovered(planted):
+    """The first result annihilates the held-out terms too, judged by the
+    reference arithmetic, and has at most the planted order."""
+    order, deg, coeffs, terms = planted
+    fit = (order + 1) * (deg + 1) + order + 2
+    while len(terms) < fit + _PLANTED_HELD_OUT:
+        n = len(terms) - order
+        terms.append(-sum(sum(c * n**e for e, c in enumerate(ck)) * terms[n + k] for k, ck in enumerate(coeffs)))
+    results = guess_prec(terms[:fit], homogeneous=1, max_shift=order, max_degree=deg)
+    assert results, "the planted recurrence was not recovered"
+    first = results[0]
+    assert max(max(mo.parts) - 1 for mo, c in zip(first.schema.monomials, first.coeffs) if c) <= order
+    assert first_failure_reference(first.coeffs, first.schema, [F(t) for t in terms]) is None
+
+
+# ---------------------------------------------------------------------------
+# batches: past 16 good primes the images up to the next attempt are read
+# at once; read one at a time instead, every solve ends the same
+
+
+def _one_at_a_time(builder, bounds, fps):
+    """lift._solve_batch, one _solve_image per prime."""
+    out = []
+    for fp in fps:
+        try:
+            out.append(lift._solve_image(builder, bounds, fp, None, False))
+        except (BadModulus, CheckFailed) as exc:
+            out.append(exc)
+    return out
+
+
+def _solves(run, monkeypatch, batched):
+    """Rendered results of run(), every do_solve's (columns, record, events)
+    or exception, and the size of each batch read."""
+    guess_module = sys.modules["seqguess.guess"]
+    solve, read, outcomes, batches = guess_module.do_solve, lift._solve_batch if batched else _one_at_a_time, [], []
+
+    def recording(*args):
+        try:
+            res = solve(*args)
+        except (NoSolution, ReconstructionAborted) as exc:
+            outcomes.append(repr(exc))
+            raise
+        outcomes.append((res.columns, res.record, res.state.events))
+        return res
+
+    def reading(builder, bounds, fps):
+        batches.append(len(fps))
+        return read(builder, bounds, fps)
+
+    monkeypatch.setattr(guess_module, "do_solve", recording)
+    monkeypatch.setattr(lift, "_solve_batch", reading)
+    results = run()
+    monkeypatch.undo()
+    return [str(r) for r in results], outcomes, batches
+
+
+def _assert_batches_change_nothing(run, monkeypatch):
+    batched = _solves(run, monkeypatch, batched=True)
+    assert batched == _solves(run, monkeypatch, batched=False)
+    return batched[2]
+
+
+@pytest.mark.parametrize("case", BIG_PLANTED)
+def test_batched_images_change_no_planted_solve(case, monkeypatch):
+    order, deg, digits, fit, seed = case
+    terms, _ = gen_prec_terms(order, deg, fit, seed, digits)
+    batches = _assert_batches_change_nothing(
+        lambda: guess_prec(terms, homogeneous=1, max_shift=order, max_degree=deg), monkeypatch)
+    assert bool(batches) == (digits >= 100)  # the cases past 16 primes read batches of 2 and more
+    assert all(k >= 2 for k in batches)
+
+
+def test_batched_images_change_no_bigcoef_workload_solve(monkeypatch, bench_workloads):
+    for case in bench_workloads.build("bigcoef_lift", 1, seqguess):
+        assert _assert_batches_change_nothing(case.run, monkeypatch), case.label
+
+
+def test_a_bad_prime_inside_a_batch_is_dropped_as_alone(monkeypatch):
+    """f(n) = A n^2 + n with A = 10^200 q: the quadratic collapses mod q.
+    Placed 34th, q falls inside a batch, where it is a bad prime as it is
+    when read alone."""
+    q = lift._nth_field(1, 31, 60).p
+    A = 10**200 * q
+    values = [F(A * j * j + j) for j in range(5)]
+    single = _seq_builder(values)
+
+    def builder(fp, t_point):
+        return [single(f, None) for f in fp] if isinstance(fp, list) else single(fp, t_point)
+
+    opts = LiftOptions(seed=1, primes=[lift._nth_field(1, 31, i).p for i in range(33)] + [q])
+    batches, read = [], lift._solve_batch
+
+    def reading(builder, bounds, fps):
+        batches.append([fp.p for fp in fps])
+        return read(builder, bounds, fps)
+
+    monkeypatch.setattr(lift, "_solve_batch", reading)
+    res = do_solve(builder, [3, 2], "rational", opts)
+    monkeypatch.setattr(lift, "_solve_batch", _one_at_a_time)
+    alone = do_solve(builder, [3, 2], "rational", opts)
+    assert (res.columns, res.record, res.state.events) == (alone.columns, alone.record, alone.state.events)
+    assert ("bad_prime", q) in res.state.events and res.columns == [[[F(0), F(1, A), F(1)], [F(-1, A)]]]
+    assert any(q in b and len(b) >= 2 for b in batches)
 
 
 # ---------------------------------------------------------------------------

@@ -374,3 +374,20 @@ def test_poly_rat_recon_roundtrip_random():
             lagrange_add(acc, x, [fp.div(peval(num, x, fp), peval(den, x, fp))])
         assert poly_rat_recon(acc) == [(num, den)]
         done += 1
+
+
+def test_fraction_from_dec_reads_points_and_exponents_past_the_digit_limit():
+    """Decimal-point and exponent values of 5,000 digits, past CPython's
+    int() limit of 4,300, are read in chunks; short ones as Fraction reads them."""
+    ones = (10**5000 - 1) // 9  # 5,000 ones
+    assert rings.fraction_from_dec("1." + "5" * 5000) == 1 + F(5 * ones, 10**5000)
+    assert rings.fraction_from_dec("1" * 5000 + "e2") == ones * 100
+    assert rings.fraction_from_dec("-" + "1" * 5000 + ".5E-3") == -F(10 * ones + 5, 10**4)
+    assert rings.fraction_from_dec("+." + "1" * 5000) == F(ones, 10**5000)
+    for text in ("1e3", "1.5", "-2.5e-3", "+3.25E+2", ".5", "1.", "-0.0", "1_000", "1_0.5", "7/3", "-7/3"):
+        assert rings.fraction_from_dec(text) == F(text)
+    for text in (".", "1e", "e5", "1.2.3", "--1", "1e1.5", "1/2e3"):
+        with pytest.raises(ValueError):
+            rings.fraction_from_dec(text)
+    with pytest.raises(ValueError, match="MAX_POWER_BITS"):
+        rings.fraction_from_dec("1." + "5" * 5000 + "e-9999999")
