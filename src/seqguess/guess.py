@@ -22,7 +22,9 @@ exact check and the Monte Carlo check all read their terms from it.
 
 The degree splits of a pair schema (streams (1, s)) share one remainder
 sequence per image and the lift of its rows: _search gives lift.do_solve
-one row store per such schema, next to its image builder.
+one row store per such schema, next to its image builder.  One scan of
+the schema's first image (lift.pair_splits) settles the splits that have
+no solution column there; only the others reach do_solve.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from fractions import Fraction
 
 from .errors import BadModulus, NoSolution, SchemaExhausted, UsageError
 from .hermite_pade import remainder_rows
-from .lift import LiftOptions, do_solve
+from .lift import LiftOptions, do_solve, pair_splits
 from .modarith import ModPrime, sample_prime
 from .models import CLASS_NAMES, Schema, build_images, build_schema, check_images
 from .rings import QQ, ZZ, RatPoly, clear_denominators, peval, pmul, pmul_trunc, pscale, psub
@@ -182,23 +184,18 @@ def enumerate_degree_vectors(total: int, m: int, cap: int, all_degrees: bool) ->
     if not all_degrees:
         base, extra = divmod(total, m)
         return [tuple(base + 1 if i < extra else base for i in range(m))]
-    out: list[tuple[int, ...]] = []
+    return sorted(_compositions(total, m, cap), key=lambda v: (max(v), v))
 
-    def rec(prefix: list[int], rem: int, slots: int):
-        if slots == 0:
-            if rem == 0:
-                out.append(tuple(prefix))
-            return
-        lo = max(1, rem - (slots - 1) * cap)
-        hi = min(cap, rem - (slots - 1))
-        for v in range(lo, hi + 1):
-            prefix.append(v)
-            rec(prefix, rem - v, slots - 1)
-            prefix.pop()
 
-    rec([], total, m)
-    out.sort(key=lambda v: (max(v), v))
-    return out
+def _compositions(total: int, m: int, cap: int):
+    """The compositions of total into m parts in [1, cap], as tuples."""
+    if m == 1:
+        if 1 <= total <= cap:
+            yield (total,)
+        return
+    for v in range(max(1, total - (m - 1) * cap), min(cap, total - (m - 1)) + 1):
+        for rest in _compositions(total - v, m - 1, cap):
+            yield (v, *rest)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +482,7 @@ def _make_builder(store: _TermImages, schema: Schema, pair: bool = False):
             try:
                 out.append(image(one, None))
             except BadModulus as exc:
-                out.append(exc)
+                out.append(exc.with_traceback(None))  # its traceback would hold this frame, which holds `out`
         return out
 
     return builder
@@ -563,6 +560,8 @@ def _search(store: _TermImages, terms, klass: str, opts: Options, q: bool) -> li
         pair = schema.pair and sigma <= PAIR_SIGMA_PER_SPLIT * len(vectors)
         builder = _make_builder(store, schema, pair)
         rows = {} if pair else None  # the schema's lifted remainder rows, shared by its splits
+        if pair:  # one scan of the first image settles every split without a solution column
+            vectors = pair_splits(builder, vectors, domain, lift_opts)
         verdicts: dict = {}  # lifted columns -> filter_interpolating output
         for bounds in vectors:
             if opts.debug:

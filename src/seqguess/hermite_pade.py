@@ -52,17 +52,26 @@ lift batches the primes it reads between two reconstruction attempts.
 For two streams (1, s), one extended Euclid run serves every degree
 split (remainder_rows); the search uses it when a schema has few
 conditions per split (guess.PAIR_SIGMA_PER_SPLIT).  The splits then
-share the rows' lift as well as the image: lift.do_solve lifts each row
-once per schema and serves every later split that reads it.
+share the rows' lift as well as the image: lift.pair_splits settles every
+split without a solution column with one scan of the first image's rows,
+and lift.do_solve lifts each row once per schema and serves every later
+split that reads it.  In the sequence form the interpolant is built from
+the node polynomial and barycentric weights of the points, kept per
+(prime, points) for the last NODE_CACHE point sets (_nodes).
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from dataclasses import dataclass
 
 from .errors import BadModulus, NoSolution
 from .modarith import ModPrime
-from .rings import LagrangeAccumulator, lagrange_add, ptrim, remainder_sequence
+from .rings import ptrim, remainder_sequence
+
+NODE_CACHE = 32  # point sets whose node polynomial and weights _nodes keeps
 
 
 @dataclass
@@ -106,7 +115,10 @@ def sigma_basis(
     """
     (out,) = sigma_bases([streams], bounds, sigma, [fp], None if points is None else [points], need_solution)
     if isinstance(out, Exception):
-        raise out
+        try:
+            raise out
+        finally:
+            out = None  # the traceback holds this frame: it must not hold the exception
     return out
 
 
@@ -244,15 +256,42 @@ def remainder_rows(stream: list, sigma: int, fp: ModPrime, points: list[int] | N
     of {p_0 = p_1 * G mod M} (the Pade table; von zur Gathen-Gerhard
     5.7-5.9).  Series form: M = x^sigma, G = -stream; sequence form:
     M = prod (x - x_j), G the interpolant of -stream, and colliding points
-    raise BadModulus, as in sigma_basis."""
+    raise BadModulus, as in sigma_basis.
+
+    The interpolant is G = sum_j (-s_j * w_j) * M / (x - x_j), with M and
+    the weights w_j = 1 / prod_{i != j} (x_j - x_i) of _nodes: its x^i
+    coefficient is sum_{l > i} M_l * P_(l-1-i), with P_e the power sums
+    sum_j (-s_j * w_j) * x_j^e.  No inverse is taken once the points are known.
+    """
     p = fp.p
     if points is None:
         M, G = [0] * sigma + [1], ptrim([-v % p for v in stream], fp)
     else:
-        if len({x % p for x in points}) != sigma:
+        xs = tuple(x % p for x in points)
+        if len(set(xs)) != sigma:
             raise BadModulus(f"sample points collide mod {p}")
-        acc = LagrangeAccumulator(fp, [[]])
-        for x, v in zip(points, stream):
-            lagrange_add(acc, x, [-v])
-        M, G = acc.node, acc.to_dense()[0]
+        M, w = _nodes(p, xs)
+        c, P = [-v * u % p for v, u in zip(stream, w)], []
+        for _ in range(sigma):
+            P.append(sum(c) % p)
+            c = [a * x % p for a, x in zip(c, xs)]
+        M, G = list(M), ptrim([sum(map(operator.mul, M[i + 1:], P)) % p for i in range(sigma)], fp)
     return list(remainder_sequence(M, G, fp))
+
+
+@functools.lru_cache(maxsize=NODE_CACHE)
+def _nodes(p: int, xs: tuple) -> tuple[tuple, tuple]:
+    """(M, w) for distinct points xs mod p: the node polynomial
+    M = prod (x - x_j) and the weights w_j = 1 / prod_{i != j} (x_j - x_i).
+
+    The search reads the same points at the same primes in every schema
+    size and every operator-search node, so the last NODE_CACHE point sets
+    are kept.  An entry holds 3 sigma + 2 ints, its key (p, xs) included
+    (sigma = len(xs)), so the cache holds at most NODE_CACHE * (3 sigma_max
+    + 2) ints, sigma_max the most points of a cached set; never a
+    sigma x sigma matrix.
+    """
+    M = [1]
+    for x in xs:
+        M = [(u - x * v) % p for u, v in zip([0, *M], [*M, 0])]
+    return tuple(M), tuple(pow(math.prod(x - y for y in xs if y != x), -1, p) for x in xs)

@@ -61,7 +61,10 @@ basis stops as soon as its defects, already the normal-form ones (the
 basis stays in weak Popov form), leave no column that can fit, and both
 domains draw their primes, after any forced ones, from a shared list per
 (seed, bits) instead of re-sampling the same sequence per solve; q
-mode's rng draws evaluation points only.
+mode's rng draws evaluation points only.  The degree splits of a pair
+schema share their first image, so pair_splits reads its rows once and
+settles every split that would end there: those never reach do_solve.
+Both read the first image through one prime/point loop (_first).
 """
 
 from __future__ import annotations
@@ -88,7 +91,14 @@ from .rings import (
     poly_rat_recon,
     rat_recon_vec,
 )
-from .sigma_normalize import ReductionRecord, compare_reductions, pair_normalize, pair_split, sigma_normalize
+from .sigma_normalize import (
+    ReductionRecord,
+    compare_reductions,
+    pair_defects,
+    pair_normalize,
+    pair_split,
+    sigma_normalize,
+)
 
 # builder(fp, t_point) -> OrderProblem: reduces the exact data mod fp
 # (specializing the parameter at t_point when there is one).  Over Q the
@@ -281,18 +291,40 @@ def _points(rng: random.Random, fp: ModPrime):
             yield tau
 
 
-def _first_image(builder: ProblemBuilder, bounds: list[int], domain: str, opts: LiftOptions):
-    """(fp, t_point, record, flat) of the first image the lift reads: the
-    first prime (and, over Q(t), its first point) without BadModulus."""
+def _first(read: Callable, domain: str, opts: LiftOptions) -> tuple:
+    """(fp, t_point, read(fp, t_point)) at the first prime, and over Q(t)
+    its first point, where read raises no BadModulus."""
     for fp in _fields(opts):
         for tau in _points(random.Random(opts.seed), fp) if domain == "polyrational" else (None,):
             try:
-                return (fp, tau, *_solve_image(builder, bounds, fp, tau, True))
+                return fp, tau, read(fp, tau)
             except BadModulus:
                 continue
         if domain == "polyrational":
             raise ReconstructionAborted(f"inner level exhausted {INNER_DRAWS} points mod {fp.p}")
     raise ReconstructionAborted(f"no stable reconstruction after {MAX_PRIMES} primes")
+
+
+def _first_image(builder: ProblemBuilder, bounds: list[int], domain: str, opts: LiftOptions):
+    """(fp, t_point, record, flat) of the first image the lift reads."""
+    def read(fp, t_point):
+        return _solve_image(builder, bounds, fp, t_point, True)
+
+    fp, tau, (record, flat) = _first(read, domain, opts)
+    return fp, tau, record, flat
+
+
+def pair_splits(builder: ProblemBuilder, splits: list, domain: str, opts: LiftOptions) -> list:
+    """The degree splits of a pair schema that have a solution column at
+    its first image, in their order.
+
+    A pair image raises BadModulus for every split or for none (only the
+    builder and its remainder sequence can), so the schema's first image
+    is every split's, and one read of its rows settles them all: do_solve
+    would end any other split there in NoSolution.
+    """
+    rows = _first(builder, domain, opts)[2].rows
+    return [s for s in splits if max(pair_defects(rows, s)[1:]) >= 1]
 
 
 def _admit(state: LiftState, record: ReductionRecord, shape: tuple, opts: LiftOptions, *where) -> bool:

@@ -172,16 +172,24 @@ def pair_split(rows: list, bounds: list[int]) -> int:
     return next(i for i, (r, t) in enumerate(rows) if t and (not r or b - len(t) < a - len(r)))
 
 
+def pair_defects(rows: list, bounds: list[int]) -> tuple[int, int, int]:
+    """(k, d0, d1): the k of pair_split and the defects of its two basis
+    columns, d0 = a + 1 - len(r_(k-1)) at critical index 0 and
+    d1 = b + 1 - len(t_k) at critical index 1.  The split has a solution
+    column iff max(d0, d1) >= 1."""
+    a, b = bounds
+    k = pair_split(rows, bounds)
+    return k, a + 1 - len(rows[k - 1][0]), b + 1 - len(rows[k][1])
+
+
 def pair_normalize(rows: list, bounds: list[int], fp: ModPrime) -> tuple[ReductionRecord, list[list[list[int]]]]:
     """sigma_normalize's output for streams (1, s), off hermite_pade.remainder_rows.
 
-    Sorting the rows k - 1, k of pair_split and making the solution
+    Sorting the rows k - 1, k of pair_defects and making the solution
     columns monic gives the unique normal form, with no strike.
     """
-    a, b = bounds
-    k = pair_split(rows, bounds)
-    (r0, t0), (r1, t1) = rows[k - 1], rows[k]
-    cols = sorted([(a + 1 - len(r0), 0, [r0, t0]), (b + 1 - len(t1), 1, [r1, t1])], key=lambda c: (-c[0], c[1]))
+    k, d0, d1 = pair_defects(rows, bounds)
+    cols = sorted([(d0, 0, list(rows[k - 1])), (d1, 1, list(rows[k]))], key=lambda c: (-c[0], c[1]))
     record = ReductionRecord(tuple(d for d, _, _ in cols), tuple(c for _, c, _ in cols),
                              tuple(bounds[c] - d for d, c, _ in cols))
     return record, [[pscale(comp, fp.inv(v[c][-1]), fp) for comp in v] for d, c, v in cols if d >= 1]

@@ -1,13 +1,10 @@
 """End-to-end guessing: golden examples, ranking, verification modes."""
 
 import importlib
-import importlib.util
 import math
 import random
-import sys
 import threading
 from fractions import Fraction as F
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -367,30 +364,25 @@ def test_prec_roundtrip_random_instances():
 # one term store per search
 
 
-def _alg_cubic_search(monkeypatch):
+def _alg_cubic_search(workloads):
     """The `alg cubic` call of the series_verify benchmark workload, seed 1."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads_reuse", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look the module up
-    spec.loader.exec_module(module)
-    (case,) = [c for c in module.build("series_verify", 1, seqguess) if c.label == "alg cubic"]
+    (case,) = [c for c in workloads.build("series_verify", 1, seqguess) if c.label == "alg cubic"]
     return case.run
 
 
-def _prec_order_5_search(monkeypatch):
+def _prec_order_5_search(workloads):
     """A planted search of the order-5 seq_kernel shape."""
     terms, _ = gen_prec_terms(5, 10, 71, seed=5)
     return lambda: guess_prec(terms, homogeneous=1, max_shift=5, max_degree=10)
 
 
 @pytest.mark.parametrize("search,products", [(_prec_order_5_search, 0), (_alg_cubic_search, 19)])
-def test_one_search_reduces_and_multiplies_once_per_key(search, products, monkeypatch):
+def test_one_search_reduces_and_multiplies_once_per_key(search, products, monkeypatch, bench_workloads):
     """Every schema size and degree vector of one search reads the same
     residues, atoms and products: one residue computation per (prime,
     point), one atom per (prime, point, part) and one product per (prime,
     point, prefix) that some build needs."""
-    run = search(monkeypatch)
+    run = search(bench_workloads)
     guess_mod = importlib.import_module("seqguess.guess")
     residues, atoms, made = [], [], [0]
     keys, want_atoms, want_products = set(), set(), set()

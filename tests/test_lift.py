@@ -1,6 +1,7 @@
 """Prime/point lifting: CRT absorption, reconstruction schedule, and
 detection of structurally bad reductions."""
 
+import gc
 import random
 import sys
 import threading
@@ -441,6 +442,37 @@ def test_a_bad_prime_inside_a_batch_is_dropped_as_alone(monkeypatch):
     assert (res.columns, res.record, res.state.events) == (alone.columns, alone.record, alone.state.events)
     assert ("bad_prime", q) in res.state.events and res.columns == [[[F(0), F(1, A), F(1)], [F(-1, A)]]]
     assert any(q in b and len(b) >= 2 for b in batches)
+
+
+# ---------------------------------------------------------------------------
+# no reference cycles: a solve's frames, exceptions and closures are freed
+# by reference counting alone
+
+
+def _prec_fit_with_a_bad_prime_in_a_batch():
+    """A planted recurrence whose terms carry the 21st prime of the default
+    list in their denominator: that prime reads BadModulus inside a batch."""
+    terms, _ = gen_prec_terms(2, 1, 30, 3, 120)
+    q = lift._nth_field(0, 31, 20).p
+    assert guess_prec([F(t, q) for t in terms], homogeneous=1, max_shift=2, max_degree=1)
+
+
+@pytest.mark.parametrize("run", [
+    _prec_fit_with_a_bad_prime_in_a_batch,
+    lambda: do_solve(_seq_builder(TERMS), [3, 2], "rational", LiftOptions(seed=1, primes=[BAD_PRIME])),
+    lambda: do_solve(_seq_builder([F(1, 5) * j + 1 for j in range(3)]), [2, 1], "rational",
+                     LiftOptions(seed=4, primes=[5])),
+    lambda: seqguess.guess([random.Random(3).randint(1, 50) for _ in range(9)]),
+], ids=["prec fit, bad prime in a batch", "unlucky first prime", "BadModulus first prime", "operator search"])
+def test_a_solve_leaves_no_reference_cycle(run):
+    run()  # fills the shared prime lists and caches
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

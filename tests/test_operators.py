@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from seqguess.errors import UsageError
 from seqguess.guess import OperatorExpr, guess, guess_rat
@@ -100,3 +102,43 @@ def test_empty_guesser_list_is_usage_error():
     # with no base guesser the search could only walk the whole operator tree
     with pytest.raises(UsageError, match="at least one base guesser"):
         guess(list(range(1, 31)), guessers=())
+
+
+# ---------------------------------------------------------------------------
+# planted operator expressions: a rational leaf under at most two levels
+
+_POLY = st.lists(st.integers(-4, 4), min_size=1, max_size=2).filter(lambda c: c[-1])
+_LEVEL = st.tuples(st.sampled_from(("sum", "product")), st.integers(-5, 5).filter(bool))
+HELD_OUT = 3
+
+
+def _planted_terms(num, den, levels, count):
+    """f(n) for n < count: the leaf num(n)/den(n) under `levels`, innermost
+    first, each (kind, base) meaning f(n) = base + sum_{k<n} g(k) or
+    f(n) = base * prod_{k<n} g(k); None when a leaf or product value is 0
+    or a denominator vanishes."""
+    if any(sum(c * n**k for k, c in enumerate(den)) == 0 for n in range(count + len(levels))):
+        return None
+    g = [F(sum(c * n**k for k, c in enumerate(num)), sum(c * n**k for k, c in enumerate(den)))
+         for n in range(count + len(levels))]
+    for kind, base in levels:
+        if kind == "product" and not all(g):
+            return None
+        f = [F(base)]
+        for v in g[:-1]:
+            f.append(f[-1] + v if kind == "sum" else f[-1] * v)
+        g = f
+    return g[:count]
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(_POLY, _POLY, st.lists(_LEVEL, max_size=2))
+def test_planted_operator_expression_is_recovered(num, den, levels):
+    """guess on the fitting terms returns an expression that reproduces
+    the held-out terms too (evaluated by _eval_expr, not by render)."""
+    fit = 2 * (len(num) + len(den)) + 2 + len(levels)
+    terms = _planted_terms(num, den, levels, fit + HELD_OUT)
+    assume(terms is not None)
+    got = guess(terms[:fit], max_level=len(levels))
+    assert got, "the planted expression was not recovered"
+    assert [_eval_expr(got[0], n) for n in range(fit + HELD_OUT)] == terms

@@ -7,7 +7,6 @@ of sigma_basis + sigma_normalize stays the reference.
 """
 
 import importlib
-import importlib.util
 import random
 import subprocess
 import sys
@@ -16,11 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from seqguess import guess_alg, guess_pade, guess_rat
+from seqguess import guess_alg, guess_pade, guess_rat, hermite_pade
 from seqguess.errors import BadModulus
 from seqguess.hermite_pade import remainder_rows, sigma_basis
 from seqguess.modarith import ModPrime, sample_prime
-from seqguess.rings import RatPoly, pdeg, pmul, psub, remainder_sequence
+from seqguess.rings import LagrangeAccumulator, RatPoly, lagrange_add, pdeg, pmul, psub, remainder_sequence
 from seqguess.sigma_normalize import pair_normalize, sigma_normalize
 
 lift = importlib.import_module("seqguess.lift")
@@ -75,6 +74,34 @@ def test_pair_normal_form_equals_order_basis_normal_form():
     assert 1000 < bad < instances // 2  # colliding points were drawn, and not only those
 
 
+def test_cached_interpolation_equals_newton_interpolation():
+    """remainder_rows' interpolant, from the cached node polynomial and
+    weights, equals the Newton-form one at integer and q-power points, on
+    a cache miss and on a hit; the cache keeps at most NODE_CACHE point
+    sets, each of sigma + 1 and sigma ints."""
+    rng = random.Random(25)
+    fp = ModPrime(10007)
+    hermite_pade._nodes.cache_clear()
+    for i in range(3 * hermite_pade.NODE_CACHE):
+        sigma = rng.randint(1, 12)
+        q = rng.randrange(2, fp.p)
+        points = list(range(sigma)) if i % 2 else [pow(q, n, fp.p) for n in range(sigma)]
+        s = [rng.randrange(fp.p) for _ in range(sigma)]
+        if len(set(points)) < sigma:
+            with pytest.raises(BadModulus):
+                remainder_rows(s, sigma, fp, points)
+            continue
+        acc = LagrangeAccumulator(fp, [[]])
+        for x, v in zip(points, s):
+            lagrange_add(acc, x, [-v])
+        newton = list(remainder_sequence(acc.node, acc.to_dense()[0], fp))
+        assert remainder_rows(s, sigma, fp, points) == newton == remainder_rows(s, sigma, fp, points)
+        M, w = hermite_pade._nodes(fp.p, tuple(points))
+        assert len(M) == sigma + 1 and len(w) == sigma
+        assert hermite_pade._nodes.cache_info().currsize <= hermite_pade.NODE_CACHE
+    assert hermite_pade._nodes.cache_info().hits >= 3 * hermite_pade.NODE_CACHE
+
+
 def test_remainder_sequence_rows():
     """r_i = t_i * r1 mod r0, deg r falls and deg t rises, ending at r = 0."""
     rng = random.Random(7)
@@ -98,40 +125,50 @@ def test_remainder_sequence_rows():
             assert diff == []
 
 
-def _load_workloads(monkeypatch):
-    spec = importlib.util.spec_from_file_location("bench_workloads_pair", ROOT / "bench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_every_pair_image_of_the_workloads_matches_the_order_basis(monkeypatch):
-    """One pass of each benchmark workload, every m = 2 image checked."""
+def test_every_pair_image_of_the_workloads_matches_the_order_basis(monkeypatch, bench_workloads):
+    """One pass of each benchmark workload, every m = 2 image checked: the
+    image of each split that reaches lift._solve_image, and the first image
+    of a pair schema at each split that the scan (lift.pair_splits) keeps
+    or settles, a split kept iff the order basis has a solution column."""
     import seqguess
 
-    original = lift._solve_image
+    solve_image, scan = lift._solve_image, guess_mod.pair_splits
     seen = []
 
-    def checked(builder, bounds, fp, t_point, first):
-        prob = builder(fp, t_point)
+    def reference(prob, bounds, fp):
+        """The order basis's normal form at an m = 2 image, asserted equal to
+        the remainder rows' one; None for any other image."""
         ones = [1] * prob.sigma if prob.points is not None else [1] + [0] * (prob.sigma - 1)
         pair = prob.rows is not None
-        if pair or (len(prob.streams) == 2 and prob.streams[0] == ones):
-            assert len(prob.streams) == 2 and prob.streams[0] == ones
-            try:
-                rows = remainder_rows(prob.streams[1], prob.sigma, fp, prob.points)
-            except BadModulus:
-                rows = None
-            assert rows is None or not pair or rows == prob.rows
-            assert _pair(rows, bounds, fp) == _reference(prob.streams[1], bounds, prob.sigma, fp, prob.points)
-            seen.append(pair)
-        return original(builder, bounds, fp, t_point, first)
+        if not pair and not (len(prob.streams) == 2 and prob.streams[0] == ones):
+            return None
+        assert len(prob.streams) == 2 and prob.streams[0] == ones
+        try:
+            rows = remainder_rows(prob.streams[1], prob.sigma, fp, prob.points)
+        except BadModulus:
+            rows = None
+        assert rows is None or not pair or rows == prob.rows
+        ref = _reference(prob.streams[1], bounds, prob.sigma, fp, prob.points)
+        assert _pair(rows, bounds, fp) == ref
+        seen.append(pair)
+        return ref
+
+    def checked(builder, bounds, fp, t_point, first):
+        reference(builder(fp, t_point), bounds, fp)
+        return solve_image(builder, bounds, fp, t_point, first)
+
+    def scanned(builder, splits, domain, opts):
+        kept = scan(builder, splits, domain, opts)
+        fp, _, prob = lift._first(builder, domain, opts)
+        for bounds in splits:
+            record, _ = reference(prob, list(bounds), fp)
+            assert (bounds in kept) == (max(record.defects) >= 1), bounds
+        return kept
 
     monkeypatch.setattr(lift, "_solve_image", checked)
-    workloads = _load_workloads(monkeypatch)
-    for name in workloads.WORKLOADS:
-        for case in workloads.build(name, 1, seqguess):
+    monkeypatch.setattr(guess_mod, "pair_splits", scanned)
+    for name in bench_workloads.WORKLOADS:
+        for case in bench_workloads.build(name, 1, seqguess):
             case.run()
     # lone degree splits over many conditions keep the order basis; they are checked too
     assert seen.count(True) > 1000 and seen.count(False) > 5

@@ -7,46 +7,57 @@ of a standalone solve with an empty store.
 """
 
 import importlib
-import importlib.util
 import random
-import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from oracles import qpower_poly, series_coefficients
-from seqguess import guess_pade, guess_rat
+from seqguess import guess_pade, guess_rat, lift
 from seqguess.errors import NoSolution
+from seqguess.lift import do_solve
+from seqguess.modarith import ModPrime
 from seqguess.rings import RatPoly
 
 guess_mod = importlib.import_module("seqguess.guess")
 
-ROOT = Path(__file__).resolve().parents[1]
-
 
 def _standalone_check(monkeypatch):
-    """Patch guess.do_solve so that every split of a pair schema is solved
-    again on its own; returns the (domain, outcome) counts of the shared solves."""
-    solve = guess_mod.do_solve
+    """Patch guess.pair_splits and guess.do_solve so that every split of a
+    pair schema is solved again on its own: the scan must keep exactly the
+    splits whose standalone solve does not end in NoSolution, and each kept
+    split's shared solve must equal its standalone one.  Returns the
+    (domain, outcome) counts of the splits."""
+    solve, scan = guess_mod.do_solve, guess_mod.pair_splits
     seen = Counter()
+
+    def scanned(builder, splits, domain, opts):
+        kept = scan(builder, splits, domain, opts)
+        for bounds in splits:
+            try:
+                solve(builder, list(bounds), domain, opts, {})
+            except NoSolution:
+                assert bounds not in kept, bounds
+                seen[domain, "none"] += 1
+            else:
+                assert bounds in kept, bounds
+        return kept
 
     def checked(builder, bounds, domain, opts, rows):
         if rows is None:
             return solve(builder, bounds, domain, opts, rows)
         try:
             res = solve(builder, bounds, domain, opts, rows)
-        except NoSolution:
-            with pytest.raises(NoSolution):
-                solve(builder, bounds, domain, opts, {})
-            seen[domain, "none"] += 1
-            raise
+        except NoSolution:  # the scan kept it, so its standalone solve found columns
+            pytest.fail(f"the shared solve of {bounds} found nothing")
         alone = solve(builder, bounds, domain, opts, {})
         assert (res.columns, res.record) == (alone.columns, alone.record), bounds
         seen[domain, "rows" if res.state.events[0][0] == "rows" else "lifted"] += 1
         return res
 
+    monkeypatch.setattr(guess_mod, "pair_splits", scanned)
     monkeypatch.setattr(guess_mod, "do_solve", checked)
     return seen
 
@@ -100,21 +111,64 @@ def test_row_store_columns_equal_standalone_solves_on_seeded_instances(monkeypat
     assert min(seen[d, kind] for d in ("rational", "polyrational") for kind in ("rows", "lifted", "none")) > 5
 
 
-def _load_workloads(monkeypatch):
-    spec = importlib.util.spec_from_file_location("bench_workloads_rows", ROOT / "bench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
+# A forced first prime that divides a term denominator, at which both the
+# scan and the per-split path must move on to the next prime (over Q) or
+# point (over Q(q), where the terms carry the factor 1 / (q - tau_0)).
+BAD = 1_000_003
 
 
-def test_row_store_columns_equal_standalone_solves_on_the_workloads(monkeypatch):
+def _scan_agrees(builder, splits, domain, opts):
+    """lift.pair_splits keeps exactly the splits whose standalone do_solve
+    does not raise NoSolution, and reads the (p, t) that lift._first_image
+    reads for each split; returns the (p, t) builder calls of the scan."""
+    reads = []
+
+    def reading(fp, t_point):
+        reads.append((fp.p, t_point))
+        return builder(fp, t_point)
+
+    kept = lift.pair_splits(reading, splits, domain, opts)
+    for bounds in splits:
+        fp, tau = lift._first_image(builder, list(bounds), domain, opts)[:2]
+        assert (fp.p, tau) == reads[-1], bounds
+        try:
+            do_solve(builder, list(bounds), domain, opts, {})
+        except NoSolution:
+            assert bounds not in kept, bounds
+        else:
+            assert bounds in kept, bounds
+    return reads
+
+
+def test_scan_keeps_exactly_the_splits_that_standalone_solves_keep(monkeypatch):
+    """Seeded rat and pade instances over Q and Q(q), each as it is and
+    with its terms divided by a factor that vanishes at the first image of
+    the forced first prime BAD."""
+    scan = guess_mod.pair_splits
+    tau0 = next(lift._points(random.Random(0), ModPrime(BAD)))
+    skipped = Counter()
+
+    def checked(builder, splits, domain, opts):
+        _scan_agrees(builder, splits, domain, opts)
+        reads = _scan_agrees(builder, splits, domain, replace(opts, primes=[BAD]))
+        assert reads[0] == (BAD, tau0 if domain == "polyrational" else None)
+        skipped[domain] += len(reads) > 1
+        return scan(builder, splits, domain, opts)
+
+    monkeypatch.setattr(guess_mod, "pair_splits", checked)
+    bad_q = RatPoly.make([-tau0, 1])
+    for guesser, terms, q in _seeded_instances(seed=2025, count=16):
+        guesser(terms, q=q)
+        guesser([t / (bad_q if q else BAD) for t in terms], q=q)
+    assert skipped["rational"] >= 3 and skipped["polyrational"] >= 3
+
+
+def test_row_store_columns_equal_standalone_solves_on_the_workloads(monkeypatch, bench_workloads):
     """Every pair-schema split of one pass of each benchmark workload."""
     import seqguess
 
     seen = _standalone_check(monkeypatch)
-    workloads = _load_workloads(monkeypatch)
-    for name in workloads.WORKLOADS:
-        for case in workloads.build(name, 1, seqguess):
+    for name in bench_workloads.WORKLOADS:
+        for case in bench_workloads.build(name, 1, seqguess):
             case.run()
     assert seen["rational", "rows"] > 50 and seen["polyrational", "rows"] >= 5 and seen["rational", "none"] > 1000
