@@ -29,6 +29,7 @@ no solution column there; only the others reach do_solve.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -38,7 +39,7 @@ from fractions import Fraction
 
 from .errors import BadModulus, NoSolution, SchemaExhausted, UsageError
 from .hermite_pade import remainder_rows
-from .lift import LiftOptions, do_solve, pair_splits
+from .lift import LiftOptions, _fields, do_solve, pair_splits
 from .modarith import ModPrime, sample_prime
 from .models import CLASS_NAMES, Schema, build_images, build_schema, check_images
 from .rings import QQ, ZZ, RatPoly, clear_denominators, peval, pmul, pmul_trunc, pscale, psub
@@ -184,7 +185,14 @@ def enumerate_degree_vectors(total: int, m: int, cap: int, all_degrees: bool) ->
     if not all_degrees:
         base, extra = divmod(total, m)
         return [tuple(base + 1 if i < extra else base for i in range(m))]
-    return sorted(_compositions(total, m, cap), key=lambda v: (max(v), v))
+    return list(_sorted_compositions(total, m, cap))
+
+
+@functools.lru_cache(maxsize=64)
+def _sorted_compositions(total: int, m: int, cap: int) -> tuple:
+    """The compositions in enumerate_degree_vectors' order, memoized: the
+    nodes of one length in an operator search read the same ones."""
+    return tuple(sorted(_compositions(total, m, cap), key=lambda v: (max(v), v)))
 
 
 def _compositions(total: int, m: int, cap: int):
@@ -225,10 +233,15 @@ def _first_failure(coeffs, schema: Schema, streams, points, F):
                 return (i, v)
         return None
     rows = min(len(streams[l]) for l in used)
-    for i in range(rows):
-        s = F.zero
-        for l in used:
-            s = F.add(s, F.mul(peval(coeffs[l], points[i], F), streams[l][i]))
+    total = [F.zero] * rows
+    for l in used:  # list l at every row's point, by one Horner pass over the rows (plain ints over ZZ)
+        vals, stream = [F.zero] * rows, streams[l]
+        for c in reversed(coeffs[l]):
+            vals = ([v * x + c for v, x in zip(vals, points)] if F is ZZ
+                    else [F.add(F.mul(v, x), c) for v, x in zip(vals, points)])
+        total = ([t + v * s for t, v, s in zip(total, vals, stream)] if F is ZZ
+                 else [F.add(t, F.mul(v, s)) for t, v, s in zip(total, vals, stream)])
+    for i, s in enumerate(total):
         if not F.is_zero(s):
             return (i, s)
     return None
@@ -261,15 +274,35 @@ class _TermImages:
     vector and Monte Carlo check of the search reads the same residues,
     atoms and products; each schema keeps the (norm, builds) of
     _exact_failure, and each candidate column its own store.
+
+    `terms` may be a function that builds the exact values, called on
+    first read of `terms`, `nums` or `den`; `first` = (p, residues) gives
+    the values mod p without them.  An operator-search node's store has
+    both (_op_dfs), so a node settled at its first image never builds,
+    clears or reduces its exact terms.
     """
 
-    def __init__(self, terms, q: bool):
+    def __init__(self, terms, q: bool, first=None):
         self.q = q
-        self.nums, self.den = _clear(terms, q)
+        self._build = terms if callable(terms) else lambda: terms
         self.by_prime: dict = {}  # p -> D and the numerators mod p: ints, or Z[q] lists
         self.memos: dict = {}  # (p, point) -> (residues, memo), None where D vanishes; q value -> (ints, memo)
         self.schemas: dict = {}  # schema -> (norm, builds) of _exact_failure
         self.columns: dict = {}  # candidate column -> store of its flattened coefficients
+        if first is not None:
+            self.memos[first[0], None] = first[1], {}
+        self.size = len(self.terms) if first is None else len(first[1])
+
+    @functools.cached_property
+    def terms(self) -> list:
+        return self._build()
+
+    @functools.cached_property
+    def _cleared(self) -> tuple:
+        return _clear(self.terms, self.q)
+
+    nums = property(lambda self: self._cleared[0])
+    den = property(lambda self: self._cleared[1])
 
     def column(self, col) -> "_TermImages":
         """The store of a candidate column's flattened coefficients, made once per column."""
@@ -532,8 +565,8 @@ def _budget(col, m: int, all_deg: bool) -> int:
         b += 1
 
 
-def _search(store: _TermImages, terms, klass: str, opts: Options, q: bool) -> list[GuessResult]:
-    N = len(terms)
+def _search(store: _TermImages, klass: str, opts: Options) -> list[GuessResult]:
+    N, q = store.size, store.q
     domain = "polyrational" if q else "rational"
     all_deg = opts.all_degrees if opts.all_degrees is not None else klass in ("rat", "pade")
     scored: list[tuple[tuple, GuessResult]] = []
@@ -583,7 +616,7 @@ def _search(store: _TermImages, terms, klass: str, opts: Options, q: bool) -> li
                     checked = "montecarlo"
                 else:
                     checked = "unchecked"
-                res = _make_result(col, schema, terms, opts, checked)
+                res = _make_result(col, schema, store.terms, opts, checked)
                 if opts.check == "montecarlo" and not _spot_check(res, store, seed=opts.seed):
                     continue
                 b = _budget(res.coeffs, m, all_deg)
@@ -606,21 +639,23 @@ def _somos_values(opts: Options) -> range:
 
 
 def guess_class(terms, klass: str, opts: Options | None = None, *, q: bool = False, **kw) -> list[GuessResult]:
-    """Guess equations of one class; empty list when nothing fits."""
+    """Guess equations of one class; empty list when nothing fits.
+
+    `terms` may also be the _TermImages of an operator-search node (guess).
+    """
     if klass not in CLASS_NAMES:
         raise UsageError(f"unknown class {klass!r}")
     opts = _options(opts, kw)
     _validate(opts)
-    terms = _coerce_terms(terms, q)
-    store = _TermImages(terms, q)
+    store = terms if isinstance(terms, _TermImages) else _TermImages(_coerce_terms(terms, q), q)
     if opts.somos is True:
         results = []
         for s in _somos_values(opts):
-            results.extend(_search(store, terms, klass, replace(opts, somos=s), q))
+            results.extend(_search(store, klass, replace(opts, somos=s)))
             if results and opts.one:
                 return results
         return results
-    return _search(store, terms, klass, opts, q)
+    return _search(store, klass, opts)
 
 
 def guess_rat(terms, opts: Options | None = None, *, q: bool = False, **kw):
@@ -660,41 +695,60 @@ def guess_fe(terms, opts: Options | None = None, *, q: bool = False, **kw):
 
 
 def _resolve_guesser(g):
+    """A base guesser on a node's store: guess_class on the store, or a callable on its terms."""
     if callable(g):
-        return g
+        return lambda store, opts: g(store.terms, opts)
     if isinstance(g, str) and g in CLASS_NAMES:
-        def run(terms, opts, _klass=g):
-            return guess_class(terms, _klass, opts)
+        def run(store, opts, _klass=g):
+            return guess_class(store, _klass, opts)
 
         return run
     raise UsageError(f"unknown guesser {g!r}")
 
 
-def _op_dfs(terms, depth: int, guessers, ops, opts: Options) -> list[OperatorExpr]:
-    if len(terms) >= 2:
+def _op_dfs(store: _TermImages, depth: int, guessers, ops, opts: Options, p: int) -> list[OperatorExpr]:
+    """The search below the node whose terms `store` holds.
+
+    A child's store carries its residues mod p, the prime of every node's
+    first image, made in O(N) from the residues this node's own search
+    read there: r_(i+1) - r_i under a sum, r_(i+1) / r_i under a product;
+    its exact terms are made from this node's when read.  A nonzero
+    residue proves a term nonzero.  A child is exact (clears and reduces
+    its own terms) when this node read no residues at p (a user callable
+    guesser, or a denominator divisible by p) or a product divides by 0.
+    """
+    if store.size >= 2:
         for g in guessers:
-            res = g(terms, opts)
+            res = g(store, opts)
             if res:
                 return [OperatorExpr("leaf", res[0])]
     if opts.max_level is not None and depth >= opts.max_level:
         return []
-    if len(terms) < 3:
+    if store.size < 3:
         return []
+    image, pairs = store.memos.get((p, None)), itertools.pairwise
+    r = image[0] if image else None
     if "sum" in ops:
-        diffs = [terms[i + 1] - terms[i] for i in range(len(terms) - 1)]
-        sub = _op_dfs(diffs, depth + 1, guessers, ops, opts)
+        first = None if r is None else (p, [(b - a) % p for a, b in pairs(r)])
+        diffs = _TermImages(lambda: [b - a for a, b in pairs(store.terms)], False, first)
+        sub = _op_dfs(diffs, depth + 1, guessers, ops, opts, p)
         if sub:
-            return [OperatorExpr("sum", sub[0], base=terms[0])]
+            return [OperatorExpr("sum", sub[0], base=store.terms[0])]
     if "product" in ops:
-        z = 0
-        while z < len(terms) and terms[z] == 0:
-            z += 1
-        rest = terms[z:]
-        if len(rest) >= 3 and all(t != 0 for t in rest):
-            ratios = [rest[i + 1] / rest[i] for i in range(len(rest) - 1)]
-            sub = _op_dfs(ratios, depth + 1, guessers, ops, opts)
+        z, nonzero = 0, r is not None and all(r)
+        if not nonzero:
+            terms = store.terms
+            while z < len(terms) and terms[z] == 0:
+                z += 1
+            nonzero = all(t != 0 for t in terms[z:])
+        if store.size - z >= 3 and nonzero:
+            first = None
+            if r is not None and all(r[z:-1]):
+                first = (p, [b * pow(a, -1, p) % p for a, b in pairs(r[z:])])
+            ratios = _TermImages(lambda: [b / a for a, b in pairs(store.terms[z:])], False, first)
+            sub = _op_dfs(ratios, depth + 1, guessers, ops, opts, p)
             if sub:
-                return [OperatorExpr("product", sub[0], base=rest[0], offset=z)]
+                return [OperatorExpr("product", sub[0], base=store.terms[z], offset=z)]
     return []
 
 
@@ -706,6 +760,15 @@ def guess(terms, guessers=("rat",), operators=("sum", "product"), opts: Options 
     (undone by a product; requires no interior zeros, leading zeros are
     stripped and recorded).  Each level shortens the data by one term,
     so the recursion is bounded even without max_level.
+
+    Every node runs guess_class on a store of its own, screened on
+    residues mod the first prime p0 carried down from its parent
+    (_op_dfs): exact terms are built, from the root down, only for a
+    lift past the first image, the exact check, a result or an operator
+    base, and where residues cannot stand in: below a node whose search
+    read none mod p0 (a denominator divisible by p0, or only user
+    callable guessers, which get exact terms), and where a product
+    divisor or a zero test has residue 0.
     """
     opts = _options(opts, kw)
     _validate(opts)
@@ -719,4 +782,5 @@ def guess(terms, guessers=("rat",), operators=("sum", "product"), opts: Options 
         terms = [Fraction(t) for t in terms]
     except TypeError:
         raise UsageError("operator search needs plain rational terms") from None
-    return _op_dfs(terms, 0, resolved, tuple(operators), opts)
+    p0 = next(_fields(LiftOptions(seed=opts.seed))).p
+    return _op_dfs(_TermImages(terms, False), 0, resolved, tuple(operators), opts, p0)

@@ -271,10 +271,11 @@ def remainder_rows(stream: list, sigma: int, fp: ModPrime, points: list[int] | N
         if len(set(xs)) != sigma:
             raise BadModulus(f"sample points collide mod {p}")
         M, w = _nodes(p, xs)
-        c, P = [-v * u % p for v, u in zip(stream, w)], []
-        for _ in range(sigma):
-            P.append(sum(c) % p)
+        c = [-v * u % p for v, u in zip(stream, w)]
+        P = [sum(c) % p]
+        for _ in range(sigma - 1):
             c = [a * x % p for a, x in zip(c, xs)]
+            P.append(sum(c) % p)
         M, G = list(M), ptrim([sum(map(operator.mul, M[i + 1:], P)) % p for i in range(sigma)], fp)
     return list(remainder_sequence(M, G, fp))
 

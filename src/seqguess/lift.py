@@ -293,15 +293,14 @@ def _points(rng: random.Random, fp: ModPrime):
 
 def _first(read: Callable, domain: str, opts: LiftOptions) -> tuple:
     """(fp, t_point, read(fp, t_point)) at the first prime, and over Q(t)
-    its first point, where read raises no BadModulus."""
+    its first point, where read raises no BadModulus; a prime at which
+    every point raises it is skipped, as over Q."""
     for fp in _fields(opts):
         for tau in _points(random.Random(opts.seed), fp) if domain == "polyrational" else (None,):
             try:
                 return fp, tau, read(fp, tau)
             except BadModulus:
                 continue
-        if domain == "polyrational":
-            raise ReconstructionAborted(f"inner level exhausted {INNER_DRAWS} points mod {fp.p}")
     raise ReconstructionAborted(f"no stable reconstruction after {MAX_PRIMES} primes")
 
 
@@ -357,6 +356,7 @@ def _inner_solve(read, fp, opts, rng, events):
 
     Returns (record, shape, values) with values the Z_p coefficients of
     the per-slot num/den polynomials in t; _admit rules on points as on primes.
+    BadModulus when every point is bad: the prime level then skips the prime.
     """
     state = LiftState(level="point", events=events)
     pending = None  # list of (num, den) per slot
@@ -385,6 +385,8 @@ def _inner_solve(read, fp, opts, rng, events):
             _emit(state, opts, "point_recon", fp.p, state.good_count, cand is not None)
             if cand is not None:
                 pending = cand
+    if state.record is None:  # the first image read sets the record
+        raise BadModulus(f"every point mod {fp.p} is bad")
     raise ReconstructionAborted(f"inner level exhausted {INNER_DRAWS} points mod {fp.p}")
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import types
 from dataclasses import dataclass
 
@@ -120,7 +121,7 @@ class Schema:
     def series(self) -> bool:
         return self.points_kind == "confluent"
 
-    @property
+    @functools.cached_property
     def loss(self) -> int:
         return max((mo.loss for mo in self.monomials), default=0)
 
@@ -204,34 +205,32 @@ def schema_stream(klass: str, opts, q: bool = False):
 
 # the options schema_stream reads
 _SCHEMA_FIELDS = ("max_shift", "max_derivative", "max_level", "max_power", "homogeneous", "somos", "max_mixed_degree")
+_schema_values = operator.attrgetter(*_SCHEMA_FIELDS)
 
 
 def build_schema(klass: str, opts, m: int, q: bool = False) -> Schema:
     """First m monomials of the filtered stream; SchemaExhausted if fewer."""
     if m < 2:
         raise ValueError("schemas start at two monomials")
-    monos = _first_monomials(klass, m, q, *(getattr(opts, name) for name in _SCHEMA_FIELDS))
-    if len(monos) < m:
-        raise SchemaExhausted(f"class {klass}: only {len(monos)} monomials under the active filters")
-    series = _CLASSES[klass][1]
-    if series:
-        kind = "confluent"
-    elif q and opts.max_mixed_degree == 0:
-        kind = "qpower"
-    else:
-        kind = "integer"
-    return Schema(monos, klass, q, kind)
+    schema = _schema(klass, m, q, *_schema_values(opts))
+    if len(schema) < m:
+        raise SchemaExhausted(f"class {klass}: only {len(schema)} monomials under the active filters")
+    return schema
 
 
 @functools.lru_cache(maxsize=1024, typed=True)
-def _first_monomials(klass: str, m: int, q: bool, *values) -> tuple[Monomial, ...]:
-    """Up to m monomials of schema_stream, memoized on the options it reads.
+def _schema(klass: str, m: int, q: bool, *values) -> Schema:
+    """The schema of up to m monomials of schema_stream, memoized on the
+    options it reads, so searches of one shape share one Schema (and its
+    loss).
 
     The cache keys each value by type too: homogeneous=True and
     homogeneous=1 are different filters.
     """
     opts = types.SimpleNamespace(**dict(zip(_SCHEMA_FIELDS, values)))
-    return tuple(itertools.islice(schema_stream(klass, opts, q), m))
+    monos = tuple(itertools.islice(schema_stream(klass, opts, q), m))
+    kind = "confluent" if _CLASSES[klass][1] else "qpower" if q and opts.max_mixed_degree == 0 else "integer"
+    return Schema(monos, klass, q, kind)
 
 
 # ---------------------------------------------------------------------------

@@ -460,6 +460,8 @@ def remainder_sequence(r0: list, r1: list, fp: ModPrime):
     Yields (r0, []), (r1, [1]), then one row per division up to the first
     zero remainder.  Every row has r_i = t_i * r1 mod r0; when deg r1 <
     deg r0, deg r_i falls and deg t_i rises strictly.  Rows are shared.
+    A quotient q1 x + q0 of degree 1, the usual one, takes one pass per
+    row; a longer one is divided out digit by digit.
     """
     p = fp.p
     t0, t1 = [], [1]
@@ -467,12 +469,18 @@ def remainder_sequence(r0: list, r1: list, fp: ModPrime):
     yield r1, t1
     while r1:
         n, inv = len(r1), pow(r1[-1], -1, p)
-        r, t = list(r0), t0 + [0] * (len(r0) - n + len(t1) - len(t0))
-        for k in range(len(r0) - n, -1, -1):  # r -= c x^k r1 and t -= c x^k t1
-            c = r[k + n - 1] * inv % p
-            if c:
-                r[k:k + n] = [(a - c * b) % p for a, b in zip(r[k:k + n], r1)]
-                t[k:k + len(t1)] = [(a - c * b) % p for a, b in zip(t[k:k + len(t1)], t1)]
+        if len(r0) == n + 1:
+            q1 = r0[-1] * inv % p
+            q0 = (r0[-2] - (q1 * r1[-2] if n > 1 else 0)) * inv % p
+            r = [(a - q0 * b - q1 * c) % p for a, b, c in zip(r0, r1, [0] + r1)]
+            t = [(a - q0 * b - q1 * c) % p for a, b, c in zip(t0 + [0] * (len(t1) + 1 - len(t0)), t1 + [0], [0] + t1)]
+        else:
+            r, t = list(r0), t0 + [0] * (len(r0) - n + len(t1) - len(t0))
+            for k in range(len(r0) - n, -1, -1):  # r -= c x^k r1 and t -= c x^k t1
+                c = r[k + n - 1] * inv % p
+                if c:
+                    r[k:k + n] = [(a - c * b) % p for a, b in zip(r[k:k + n], r1)]
+                    t[k:k + len(t1)] = [(a - c * b) % p for a, b in zip(t[k:k + len(t1)], t1)]
         del r[n - 1:]
         r0, r1, t0, t1 = r1, ptrim(r, fp), t1, t
         yield r1, t1

@@ -496,3 +496,35 @@ def test_planted_q_recurrence_is_recovered(a, b):
     first = results[0]
     assert sum(len(c) for c in first.coeffs) <= 1 + len(a)
     assert first_failure_reference(first.coeffs, first.schema, terms, QQ_T, QPARAM) is None
+
+
+# ---------------------------------------------------------------------------
+# q mode: a prime at which every evaluation point is bad
+
+P0 = 1_277_389_331  # the first prime of the shared list at seed 0
+
+
+def test_prime_with_every_point_bad_is_skipped():
+    """Over Q(t), a prime at which every point raises BadModulus is skipped
+    at both levels, as over Q: the first image moves on to the next prime,
+    and the prime loop logs skip_prime instead of aborting the solve."""
+
+    def build(fp, t_point):
+        if fp.p == 5:
+            raise BadModulus("every point is bad mod 5")
+        stream = [(t_point + j) % fp.p for j in range(3)]
+        return OrderProblem(streams=[[1, 1, 1], stream], points=[0, 1, 2], sigma=3)
+
+    res = do_solve(build, [2, 1], "polyrational", LiftOptions(seed=2, primes=[5]))
+    t = RatPoly.make([0, 1])
+    assert res.columns == [[[t, RatPoly.const(1)], [RatPoly.const(-1)]]]
+    assert [e for e in res.state.events if e[0] == "skip_prime"] == [("skip_prime", 5)]
+
+
+def test_term_denominator_divisible_by_the_first_prime_in_q_mode():
+    """A term denominator with the integer factor p0 makes every q point
+    bad at p0; the guess reads the next prime instead of aborting."""
+    assert lift._nth_field(0, lift.PRIME_BITS, 0).p == P0
+    assert seqguess.guess_rat([RatPoly.make([1, n], [P0]) for n in range(8)], q=True) == []
+    got = seqguess.guess_rat([RatPoly.make([1] * (n + 1), [P0]) for n in range(8)], q=True)
+    assert [str(r) for r in got] == [f"[f(n): f(n) = (qq^n - 1)/({P0}q - {P0})]"]

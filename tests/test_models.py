@@ -91,13 +91,13 @@ def test_build_schema_validation():
 def test_schema_cache_keys_homogeneous_by_type(first, second):
     # True == 1 and hash(True) == hash(1), but "no constant monomial" and
     # "degree exactly one" are different filters, whichever is cached first
-    models._first_monomials.cache_clear()
+    models._schema.cache_clear()
     opts = Options(max_shift=1, max_power=2)
     built = [build_schema("rec", replace(opts, homogeneous=h), 2) for h in (first, second)]
     parts = {h is True: [mo.parts for mo in s.monomials] for h, s in zip((first, second), built)}
     assert parts == {True: [(1,), (1, 1)], False: [(1,), (2,)]}
     assert build_schema("rec", replace(opts, homogeneous=first), 2) == built[0]
-    assert models._first_monomials.cache_info().hits == 1
+    assert models._schema.cache_info().hits == 1
 
 
 def test_points_kind():

@@ -1,5 +1,7 @@
 """Inverted sum/product operator search wrapped around base guessers."""
 
+import importlib
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +10,9 @@ from hypothesis import strategies as st
 
 from seqguess.errors import UsageError
 from seqguess.guess import OperatorExpr, guess, guess_rat
+from seqguess.render import result_to_json
+
+guess_mod = importlib.import_module("seqguess.guess")
 
 
 def one(results):
@@ -142,3 +147,95 @@ def test_planted_operator_expression_is_recovered(num, den, levels):
     got = guess(terms[:fit], max_level=len(levels))
     assert got, "the planted expression was not recovered"
     assert [_eval_expr(got[0], n) for n in range(fit + HELD_OUT)] == terms
+
+
+# ---------------------------------------------------------------------------
+# residues carried down the tree against the exact path
+
+P0 = 1_277_389_331  # the prime of every node's first image at seed 0
+
+
+def _counted(monkeypatch, name):
+    calls = []
+    original = getattr(guess_mod, name)
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return original(*args, **kw)
+
+    monkeypatch.setattr(guess_mod, name, counted)
+    return calls
+
+
+def _search_both_ways(terms, monkeypatch, **kw):
+    """(results, guess_class calls) of the residue-carrying search, and of
+    the exact one that a callable guesser forces (every node gets exact
+    terms and builds its own store)."""
+    out = []
+    for guessers in (("rat",), (lambda t, o: guess_mod.guess_class(t, "rat", o),)):
+        with monkeypatch.context() as m:
+            calls = _counted(m, "guess_class")
+            out.append((guess(terms, guessers=guessers, **kw), len(calls)))
+    return out
+
+
+def _p0_cases():
+    """Inputs where a residue mod P0 cannot stand in for the exact term."""
+    yield [3, F(1, P0), 7, 2, 9, 4]  # a denominator P0: the root has no image mod P0
+    yield [F(2, P0), F(5, P0), F(9, P0), F(14, P0), F(20, P0)]  # ... and its sum child does
+    yield [4, 5, 5 + P0, 11, 3, 8]  # two terms congruent mod P0: a difference with residue 0
+    yield [2, 3, P0, 6, 1, 5]  # a term 0 mod P0 under a product: a zero test and a divisor
+    yield [P0 * k + 1 for k in (1, 2, 4, 8, 16, 32)]  # every quotient's residue is 1
+    yield [F(P0 * (n + 1)) for n in range(6)]  # sum child's terms all P0: every residue 0
+    yield [P0, 2 * P0, 6 * P0, 24 * P0, 120 * P0]  # product child P0 * n!/(n-1)! over residue-0 divisors
+
+
+def _random_cases(rng):
+    for size in (6, 7, 8):
+        for _ in range(3):
+            yield [F(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(size)]
+    yield [0, 0] + [rng.randint(1, 9) for _ in range(5)]  # leading zeros stripped by a product
+
+
+def _planted_cases(rng):
+    for levels in ([("sum", 2)], [("product", 3)], [("sum", -1), ("product", 2)], [("product", 1), ("sum", 4)]):
+        num, den = [rng.randint(1, 4), rng.randint(1, 3)], [rng.randint(1, 3)]
+        yield _planted_terms(num, den, levels, 5 + 2 * len(levels))
+
+
+def test_carried_residues_give_the_exact_paths_answers(monkeypatch):
+    """Same first expression, text, JSON and guess_class count as the
+    exact path, on random terms, planted trees and inputs built against
+    the first prime."""
+    rng = random.Random(26)
+    cases = [*_p0_cases(), *_random_cases(rng), *_planted_cases(rng)]
+    found = 0
+    for terms in cases:
+        (got, n_got), (want, n_want) = _search_both_ways(terms, monkeypatch)
+        assert n_got == n_want, terms
+        assert got == want, terms
+        if got:
+            found += 1
+            assert str(got[0]) == str(want[0]) and result_to_json(got[0]) == result_to_json(want[0])
+    assert found >= 6
+
+
+def test_residue_zero_mod_p0_reads_exact_terms(monkeypatch):
+    """A residue 0 cannot decide a zero test or divide: the product branch
+    reads exact terms there, and the quotient child clears its own."""
+    clears = _counted(monkeypatch, "_clear")
+    assert guess([2, 3, P0, 6, 1, 5], max_level=1) == []
+    assert len(clears) == 2  # the root, and the quotient child past a divisor P0
+    clears.clear()
+    assert guess([2, 3, 5, 6, 1, 5], max_level=1) == []
+    assert len(clears) == 1  # the root only
+
+
+def test_random_tree_clears_only_the_root(monkeypatch):
+    """10 random nonzero integers: 2^9 - 1 = 511 nodes, each with its own
+    guess_class call, and one clearing of exact terms, the root's."""
+    rng = random.Random(10)
+    terms = [rng.choice((-1, 1)) * rng.randint(1, 50) for _ in range(10)]
+    nodes, clears = _counted(monkeypatch, "guess_class"), _counted(monkeypatch, "_clear")
+    assert guess(terms) == []
+    assert len(nodes) == 511 and len(clears) == 1
