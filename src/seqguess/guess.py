@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from .errors import BadModulus, NoSolution, SchemaExhausted, UsageError
 from .hermite_pade import remainder_rows
-from .lift import LiftOptions, _fields, do_solve, pair_splits
+from .lift import LiftOptions, do_solve, pair_splits
 from .modarith import ModPrime, sample_prime
 from .models import CLASS_NAMES, Schema, build_images, build_schema, check_images
 from .rings import QQ, ZZ, RatPoly, clear_denominators, peval, pmul, pmul_trunc, pscale, psub
@@ -279,7 +279,8 @@ class _TermImages:
     first read of `terms`, `nums` or `den`; `first` = (p, residues) gives
     the values mod p without them.  An operator-search node's store has
     both (_op_dfs), so a node settled at its first image never builds,
-    clears or reduces its exact terms.
+    clears or reduces its exact terms.  `first_read` keys the first
+    image a search read: the lift's choice, whose residues _op_dfs carries.
     """
 
     def __init__(self, terms, q: bool, first=None):
@@ -289,6 +290,7 @@ class _TermImages:
         self.memos: dict = {}  # (p, point) -> (residues, memo), None where D vanishes; q value -> (ints, memo)
         self.schemas: dict = {}  # schema -> (norm, builds) of _exact_failure
         self.columns: dict = {}  # candidate column -> store of its flattened coefficients
+        self.first_read = None
         if first is not None:
             self.memos[first[0], None] = first[1], {}
         self.size = len(self.terms) if first is None else len(first[1])
@@ -315,6 +317,7 @@ class _TermImages:
         key = (fp.p, point)
         if key not in self.memos:
             self.memos[key] = self._residues(fp, point)
+        self.first_read = self.first_read or key
         if self.memos[key] is None:
             raise BadModulus(f"term denominator vanishes mod {fp.p} at q={point}")
         return self.memos[key]
@@ -706,16 +709,16 @@ def _resolve_guesser(g):
     raise UsageError(f"unknown guesser {g!r}")
 
 
-def _op_dfs(store: _TermImages, depth: int, guessers, ops, opts: Options, p: int) -> list[OperatorExpr]:
+def _op_dfs(store: _TermImages, depth: int, guessers, ops, opts: Options) -> list[OperatorExpr]:
     """The search below the node whose terms `store` holds.
 
-    A child's store carries its residues mod p, the prime of every node's
-    first image, made in O(N) from the residues this node's own search
-    read there: r_(i+1) - r_i under a sum, r_(i+1) / r_i under a product;
-    its exact terms are made from this node's when read.  A nonzero
-    residue proves a term nonzero.  A child is exact (clears and reduces
-    its own terms) when this node read no residues at p (a user callable
-    guesser, or a denominator divisible by p) or a product divides by 0.
+    A child's store carries its residues mod p, the prime of this node's
+    first image (`first_read`), made in O(N) from this node's residues:
+    r_(i+1) - r_i under a sum, r_(i+1) / r_i under a product; its exact
+    terms are made from this node's when read.  A nonzero residue proves
+    a term nonzero.  A child is exact (clears and reduces its own terms)
+    when this node read no residues (a user callable guesser, or a
+    denominator divisible by p) or a product divides by 0.
     """
     if store.size >= 2:
         for g in guessers:
@@ -726,12 +729,12 @@ def _op_dfs(store: _TermImages, depth: int, guessers, ops, opts: Options, p: int
         return []
     if store.size < 3:
         return []
-    image, pairs = store.memos.get((p, None)), itertools.pairwise
-    r = image[0] if image else None
+    image, pairs = store.memos.get(store.first_read) if store.first_read else None, itertools.pairwise
+    r, p = (image[0], store.first_read[0]) if image else (None, None)
     if "sum" in ops:
         first = None if r is None else (p, [(b - a) % p for a, b in pairs(r)])
         diffs = _TermImages(lambda: [b - a for a, b in pairs(store.terms)], False, first)
-        sub = _op_dfs(diffs, depth + 1, guessers, ops, opts, p)
+        sub = _op_dfs(diffs, depth + 1, guessers, ops, opts)
         if sub:
             return [OperatorExpr("sum", sub[0], base=store.terms[0])]
     if "product" in ops:
@@ -746,7 +749,7 @@ def _op_dfs(store: _TermImages, depth: int, guessers, ops, opts: Options, p: int
             if r is not None and all(r[z:-1]):
                 first = (p, [b * pow(a, -1, p) % p for a, b in pairs(r[z:])])
             ratios = _TermImages(lambda: [b / a for a, b in pairs(store.terms[z:])], False, first)
-            sub = _op_dfs(ratios, depth + 1, guessers, ops, opts, p)
+            sub = _op_dfs(ratios, depth + 1, guessers, ops, opts)
             if sub:
                 return [OperatorExpr("product", sub[0], base=store.terms[z], offset=z)]
     return []
@@ -761,14 +764,15 @@ def guess(terms, guessers=("rat",), operators=("sum", "product"), opts: Options 
     stripped and recorded).  Each level shortens the data by one term,
     so the recursion is bounded even without max_level.
 
-    Every node runs guess_class on a store of its own, screened on
+    Every node runs its guessers on a store of its own, screened on
     residues mod the first prime p0 carried down from its parent
     (_op_dfs): exact terms are built, from the root down, only for a
     lift past the first image, the exact check, a result or an operator
     base, and where residues cannot stand in: below a node whose search
     read none mod p0 (a denominator divisible by p0, or only user
     callable guessers, which get exact terms), and where a product
-    divisor or a zero test has residue 0.
+    divisor or a zero test has residue 0.  A node's classes share its
+    store; check_images keeps their atoms apart.
     """
     opts = _options(opts, kw)
     _validate(opts)
@@ -782,5 +786,4 @@ def guess(terms, guessers=("rat",), operators=("sum", "product"), opts: Options 
         terms = [Fraction(t) for t in terms]
     except TypeError:
         raise UsageError("operator search needs plain rational terms") from None
-    p0 = next(_fields(LiftOptions(seed=opts.seed))).p
-    return _op_dfs(_TermImages(terms, False), 0, resolved, tuple(operators), opts, p0)
+    return _op_dfs(_TermImages(terms, False), 0, resolved, tuple(operators), opts)

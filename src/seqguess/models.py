@@ -305,7 +305,8 @@ def check_images(terms, schema: Schema, F, q_point=None, cut=None, memo=None):
     Atoms, the steps of the shared-subproduct plan and the power
     sequences of q are kept in `memo` at natural length and cut when
     read.  Passing one memo to every schema of a search computes each
-    once.  For shift and derivative
+    once; atoms and products are kept per (tag, series), so schemas of
+    every class can share one memo.  For shift and derivative
     tags the last part of a sorted prefix names the shortest atom, so
     every product takes its length from that atom.
     """
@@ -325,23 +326,24 @@ def check_images(terms, schema: Schema, F, q_point=None, cut=None, memo=None):
             memo[j] = list(itertools.accumulate([qj] * (N - 1), F.mul, initial=F.one))
         return memo[j]
 
+    products = memo.setdefault((schema.monomials[0].tag, series), {})  # f(n+1) and f' are both part 2
     for mo in schema.monomials:
         for part in mo.parts:
-            if (part,) not in memo:
-                memo[(part,)] = _atom_stream(part, mo.tag, terms, N, F, qpowers)
+            if (part,) not in products:
+                products[(part,)] = _atom_stream(part, mo.tag, terms, N, F, qpowers)
     for prefix in cauchy_plan([mo.parts for mo in schema.monomials]):
-        if prefix in memo:
+        if prefix in products:
             continue
-        a, b = memo[prefix[:-1]], memo[prefix[-1:]]
+        a, b = products[prefix[:-1]], products[prefix[-1:]]
         if series:
-            memo[prefix] = pmul_trunc(a, b, len(b), F)
+            products[prefix] = pmul_trunc(a, b, len(b), F)
         else:
-            memo[prefix] = [F.mul(x, y) for x, y in zip(a, b)]
+            products[prefix] = [F.mul(x, y) for x, y in zip(a, b)]
 
     streams = []
     for mo in schema.monomials:
         if mo.parts:
-            base = memo[tuple(sorted(mo.parts))][:top]
+            base = products[tuple(sorted(mo.parts))][:top]
         elif series:
             base = [F.one] + [F.zero] * (top - 1)
         else:

@@ -222,6 +222,16 @@ def test_check_images_series():
     assert streams[2] == [1, 2, 5, 14]  # f^2 truncated
 
 
+def test_check_images_memo_serves_every_class():
+    """f(n+1) and f' share the part key (2,), f(n)^2 and the Cauchy f^2
+    the prefix (1, 1): one memo keeps each schema family's apart."""
+    terms = [F(k * k + 1, k + 2) for k in range(9)]
+    memo = {}
+    for klass in ("rec", "holo", "alg", "prec", "ade", "fe"):
+        schema = build_schema(klass, Options(max_power=2), 3)
+        assert check_images(terms, schema, QQ, memo=memo) == check_images(terms, schema, QQ), klass
+
+
 # (class, options, q mode): every class with nonlinear monomials, shift and
 # derivative losses, mixed q^(jn) factors, q-dilations and q-power points
 BUILDER_CASES = [

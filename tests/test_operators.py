@@ -1,6 +1,8 @@
 """Inverted sum/product operator search wrapped around base guessers."""
 
 import importlib
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -9,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seqguess.errors import UsageError
-from seqguess.guess import OperatorExpr, guess, guess_rat
+from seqguess.guess import OperatorExpr, guess, guess_rat, guess_rec
 from seqguess.render import result_to_json
 
 guess_mod = importlib.import_module("seqguess.guess")
@@ -167,12 +169,13 @@ def _counted(monkeypatch, name):
     return calls
 
 
-def _search_both_ways(terms, monkeypatch, **kw):
+def _search_both_ways(terms, monkeypatch, classes=("rat",), **kw):
     """(results, guess_class calls) of the residue-carrying search, and of
-    the exact one that a callable guesser forces (every node gets exact
-    terms and builds its own store)."""
+    the exact one that callable guessers force (every node gets exact
+    terms and each class builds its own store)."""
+    exact = tuple(lambda t, o, k=k: guess_mod.guess_class(t, k, o) for k in classes)
     out = []
-    for guessers in (("rat",), (lambda t, o: guess_mod.guess_class(t, "rat", o),)):
+    for guessers in (classes, exact):
         with monkeypatch.context() as m:
             calls = _counted(m, "guess_class")
             out.append((guess(terms, guessers=guessers, **kw), len(calls)))
@@ -218,6 +221,31 @@ def test_carried_residues_give_the_exact_paths_answers(monkeypatch):
             found += 1
             assert str(got[0]) == str(want[0]) and result_to_json(got[0]) == result_to_json(want[0])
     assert found >= 6
+
+
+@pytest.mark.parametrize("second", ["holo", "alg"])
+def test_classes_of_one_node_keep_their_own_images(second, monkeypatch):
+    """The classes of a node share its store, where rec's f(n+1) and
+    holo's f' are both the atom of part 2, and rec's f(n)^2 and alg's
+    Cauchy square both the product (1, 1).  On terms rec does not fit,
+    the second class must still find its own answers."""
+    cases = [
+        [math.comb(2 * n, n) for n in range(8)],
+        [math.comb(2 * n, n) // (n + 1) for n in range(8)],
+        [F(n * n + 1, math.factorial(n)) for n in range(8)],
+        list(itertools.accumulate(math.comb(2 * n, n) for n in range(8))),
+        list(itertools.accumulate(F(1, math.factorial(n)) for n in range(8))),
+    ]
+    found = 0
+    for terms in cases:
+        assert guess_rec(terms) == [], terms
+        (got, n_got), (want, n_want) = _search_both_ways(terms, monkeypatch, ("rec", second), max_level=2)
+        assert n_got == n_want, terms
+        assert got == want, terms
+        if got:
+            found += 1
+            assert str(got[0]) == str(want[0]) and result_to_json(got[0]) == result_to_json(want[0])
+    assert found >= 4
 
 
 def test_residue_zero_mod_p0_reads_exact_terms(monkeypatch):
