@@ -488,35 +488,33 @@ def _spot_check(result: GuessResult, store: _TermImages, trials: int = 3, seed: 
 
 
 def _make_builder(store: _TermImages, schema: Schema, pair: bool = False):
-    """Image builder for one schema, on the search's residues and memos.
+    """Image builder for one schema, on the search's residues and memos:
+    builder([(fp, t_point), ...]) gives per image its problem, or its
+    BadModulus.
 
     Every degree vector of the schema starts from the same primes (and,
     in q mode, the same points), so each is cut to the schema once, and
     for a `pair` schema its remainder sequence is run once; the rows'
     lift is shared through the row store that _search keeps beside it.
-    A list of primes (a lift batch, over Q) reduces the terms for all of
-    them at once and gives each prime's problem, or its BadModulus.
+    Several primes over Q (a lift batch) have the terms reduced for all
+    of them at once.
     """
     images: dict = {}
 
-    def image(fp, t_point):
-        key = (fp.p, t_point)
-        if key not in images:
-            terms, memo = store.modular(fp, t_point)
-            prob = build_images(terms, schema, fp, q_point=t_point, memo=memo)
-            if pair:
-                prob.rows = remainder_rows(prob.streams[1], prob.sigma, fp, prob.points)
-            images[key] = prob
-        return images[key]
-
-    def builder(fp, t_point):
-        if not isinstance(fp, list):
-            return image(fp, t_point)
-        store.reduce_for(fp)
+    def builder(at):
+        if len(at) > 1 and not store.q:
+            store.reduce_for([fp for fp, _ in at])
         out = []
-        for one in fp:
+        for fp, t_point in at:
+            key = (fp.p, t_point)
             try:
-                out.append(image(one, None))
+                if key not in images:
+                    terms, memo = store.modular(fp, t_point)
+                    prob = build_images(terms, schema, fp, q_point=t_point, memo=memo)
+                    if pair:
+                        prob.rows = remainder_rows(prob.streams[1], prob.sigma, fp, prob.points)
+                    images[key] = prob
+                out.append(images[key])
             except BadModulus as exc:
                 out.append(exc.with_traceback(None))  # its traceback would hold this frame, which holds `out`
         return out

@@ -41,30 +41,34 @@ prime would cost about c^3/3 for a solve that needs c primes; the
 schedule's attempts sum to a few times the last one, at the price of at
 most ceil(c/8) + 1 further primes.
 
+Every image is read by one reader (_read): (prime, point) pairs in, per
+image its record and flat columns or the exception its solve raised
+out.  One builder call reduces the terms for all of them; a lone order
+basis runs through sigma_basis, several in lockstep
+(hermite_pade.sigma_bases), at most BATCH_CELLS cells to a kernel pass.
+
 Between two attempts no image is looked at before the next one, so over
-Q, once the state holds 16 good primes and no candidate, the lift reads
-the primes up to the next due count as one batch (_solve_batch): one
-builder call reduces the terms for all of them, and their order bases
-run in lockstep (hermite_pade.sigma_bases), at most BATCH_CELLS cells to
-a kernel pass.  The batch ends at the next due count because the
-attempt there may yield a candidate, and the prime after a candidate
-only confirms it.  The images are still admitted one at a time, in prime
-order, so the state, the attempts and the events are those of reading
-each prime alone; an image the solve never reaches is read for nothing.
-The head, the confirming primes, the first 16 good primes and q mode's
-point level stay one image at a time.
+Q, with no candidate pending, the lift reads the primes up to the next
+due count as one batch: one prime below 16 good ones, where every count
+is due.  The batch ends at the next due count because the attempt there
+may yield a candidate, and the prime after a candidate only confirms
+it.  The images are still admitted one at a time, in prime order, so the
+state, the attempts and the events are those of reading each prime
+alone; an image the solve never reaches is read for nothing.  q mode's
+point level reads one point at a time.
 
 Most solves of a search end in NoSolution, so that outcome is kept cheap:
-do_solve reads the first image (_first_image) before any lift state is
+do_solve reads the first image (the head) before any lift state is
 built, and the lift reuses it; on the first image of a level the order
 basis stops as soon as its defects, already the normal-form ones (the
 basis stays in weak Popov form), leave no column that can fit, and both
 domains draw their primes, after any forced ones, from a shared list per
 (seed, bits) instead of re-sampling the same sequence per solve; q
-mode's rng draws evaluation points only.  The degree splits of a pair
-schema share their first image, so pair_splits reads its rows once and
-settles every split that would end there: those never reach do_solve.
-Both read the first image through one prime/point loop (_first).
+mode's rng draws evaluation points only, one rng across primes for the
+head as for the lift.  The degree splits of a pair schema share their
+first image, so pair_splits reads its rows once and settles every split
+that would end there: those never reach do_solve.  Both find the first
+image by one prime/point loop (_first).
 """
 
 from __future__ import annotations
@@ -80,7 +84,6 @@ from typing import Callable
 from .errors import BadModulus, CheckFailed, NoSolution, ReconstructionAborted
 from .hermite_pade import sigma_bases, sigma_basis
 from .modarith import ModPrime, sample_prime
-from .models import OrderProblem
 from .rings import (
     CrtAccumulator,
     LagrangeAccumulator,
@@ -100,11 +103,10 @@ from .sigma_normalize import (
     sigma_normalize,
 )
 
-# builder(fp, t_point) -> OrderProblem: reduces the exact data mod fp
-# (specializing the parameter at t_point when there is one).  Over Q the
-# lift also asks for a batch: builder([fp, ...], None) -> per prime, its
-# OrderProblem or the BadModulus that builder(fp, None) would raise.
-ProblemBuilder = Callable[[ModPrime, int | None], OrderProblem]
+# builder([(fp, t_point), ...]) -> per image, its OrderProblem (the exact
+# data reduced mod fp, the parameter specialized at t_point when there is
+# one) or the BadModulus that reduction raised.
+ProblemBuilder = Callable[[list[tuple[ModPrime, int | None]]], list]
 
 
 PRIME_BITS = 31
@@ -210,18 +212,55 @@ def _emit(state: LiftState, opts: LiftOptions, *event):
         opts.debug(" ".join(str(x) for x in event))
 
 
-def _solve_image(builder: ProblemBuilder, bounds: list[int], fp: ModPrime, t_point, first: bool):
-    """One base solve: order basis -> (record, flat padded solution columns).
+def _read(builder: ProblemBuilder, bounds: list[int], at: list, first: bool) -> list:
+    """Per (fp, t_point) in `at`: (record, flat padded solution columns),
+    or the BadModulus, NoSolution or CheckFailed its solve raised.
 
-    `first` marks the first image of a level (no record to compare with
-    yet): there the order basis itself raises NoSolution as soon as no
+    One builder call reads every image.  An image that carries a
+    remainder sequence (OrderProblem.rows) needs no basis.  A lone
+    image's order basis runs through sigma_basis; several run in lockstep
+    (sigma_bases), at most BATCH_CELLS cells to a kernel pass.  `first`
+    marks the first image of a level (no record to compare with yet):
+    there the order basis itself stops with NoSolution as soon as no
     column can fit, since the raw defects equal the normal-form ones.
     """
-    prob = builder(fp, t_point)
-    if prob.rows is not None:
-        return _flat_image(bounds, *pair_normalize(prob.rows, bounds, fp))
-    basis = sigma_basis(prob.streams, bounds, prob.sigma, fp, points=prob.points, need_solution=first)
-    return _flat_image(bounds, *sigma_normalize(basis))
+    probs = builder(at)
+    todo = [i for i, prob in enumerate(probs) if not isinstance(prob, BadModulus) and prob.rows is None]
+    bases: dict = {}
+    if len(at) == 1 and todo:
+        prob = probs[0]
+        try:
+            bases[0] = sigma_basis(prob.streams, bounds, prob.sigma, at[0][0], points=prob.points, need_solution=first)
+        except (BadModulus, NoSolution) as exc:
+            bases[0] = exc.with_traceback(None)  # its traceback would hold this frame, which holds `bases`
+    elif todo:
+        m, sigma, series = len(bounds), probs[todo[0]].sigma, probs[todo[0]].points is None
+        per_pass = max(1, BATCH_CELLS // (m * (sigma + m * (sigma + 1))))
+        for a in range(0, len(todo), per_pass):
+            part = todo[a:a + per_pass]
+            got = sigma_bases([probs[i].streams for i in part], bounds, sigma, [at[i][0] for i in part],
+                              None if series else [probs[i].points for i in part], first)
+            bases.update(zip(part, got))
+    out: list = []
+    for i, (fp, _) in enumerate(at):
+        got = bases.get(i, probs[i])
+        if not isinstance(got, Exception):
+            try:
+                normal = sigma_normalize(got) if i in bases else pair_normalize(got.rows, bounds, fp)
+                got = _flat_image(bounds, *normal)
+            except CheckFailed as exc:  # _solved raises it when the lift reaches this image
+                got = exc.with_traceback(None)
+        out.append(got)
+    return out
+
+
+def _solved(image) -> tuple:
+    """(record, flat) of an image _read solved.  One whose solve raised
+    raises a fresh copy of that exception: raising the stored one would
+    give it a traceback through the frames that hold it, a reference cycle."""
+    if isinstance(image, Exception):
+        raise type(image)(*image.args)
+    return image
 
 
 def _flat_image(bounds: list[int], record: ReductionRecord, columns: list):
@@ -236,38 +275,6 @@ def _flat_image(bounds: list[int], record: ReductionRecord, columns: list):
             flat.extend(comp)
             flat.extend([0] * (b - len(comp)))
     return record, flat
-
-
-def _solve_batch(builder: ProblemBuilder, bounds: list[int], fps: list[ModPrime]) -> list:
-    """_solve_image(builder, bounds, fp, None, False) at each prime over Q:
-    per prime, (record, flat) or the BadModulus or CheckFailed it raises.
-
-    One builder call reads every image.  Their order bases run in
-    lockstep (sigma_bases), at most BATCH_CELLS cells to a kernel pass.
-    """
-    probs = builder(fps, None)
-    todo = [i for i, prob in enumerate(probs) if not isinstance(prob, BadModulus) and prob.rows is None]
-    bases: dict = {}
-    if todo:
-        m, sigma, series = len(bounds), probs[todo[0]].sigma, probs[todo[0]].points is None
-        per_pass = max(1, BATCH_CELLS // (m * (sigma + m * (sigma + 1))))
-        for a in range(0, len(todo), per_pass):
-            part = todo[a:a + per_pass]
-            got = sigma_bases([probs[i].streams for i in part], bounds, sigma, [fps[i] for i in part],
-                              None if series else [probs[i].points for i in part])
-            bases.update(zip(part, got))
-    out: list = []
-    for i, (fp, prob) in enumerate(zip(fps, probs)):
-        got = bases.get(i, prob)
-        if isinstance(got, BadModulus):
-            out.append(got)
-            continue
-        try:
-            normal = sigma_normalize(got) if i in bases else pair_normalize(prob.rows, bounds, fp)
-            out.append(_flat_image(bounds, *normal))
-        except CheckFailed as exc:  # raised when the lift reaches this prime, as _solve_image would
-            out.append(exc)
-    return out
 
 
 def _fields(opts: LiftOptions):
@@ -292,25 +299,18 @@ def _points(rng: random.Random, fp: ModPrime):
 
 
 def _first(read: Callable, domain: str, opts: LiftOptions) -> tuple:
-    """(fp, t_point, read(fp, t_point)) at the first prime, and over Q(t)
-    its first point, where read raises no BadModulus; a prime at which
-    every point raises it is skipped, as over Q."""
+    """(fp, t_point, image) at the first prime, and over Q(t) its first
+    point, where image = read([(fp, t_point)])[0] is no BadModulus; a prime
+    at which every point gives one is skipped, as over Q.  The points come
+    from one rng across primes, as in _lift, so the lift's first image is
+    this one."""
+    rng = random.Random(opts.seed) if domain == "polyrational" else None  # q points
     for fp in _fields(opts):
-        for tau in _points(random.Random(opts.seed), fp) if domain == "polyrational" else (None,):
-            try:
-                return fp, tau, read(fp, tau)
-            except BadModulus:
-                continue
+        for tau in _points(rng, fp) if domain == "polyrational" else (None,):
+            (image,) = read([(fp, tau)])
+            if not isinstance(image, BadModulus):
+                return fp, tau, image
     raise ReconstructionAborted(f"no stable reconstruction after {MAX_PRIMES} primes")
-
-
-def _first_image(builder: ProblemBuilder, bounds: list[int], domain: str, opts: LiftOptions):
-    """(fp, t_point, record, flat) of the first image the lift reads."""
-    def read(fp, t_point):
-        return _solve_image(builder, bounds, fp, t_point, True)
-
-    fp, tau, (record, flat) = _first(read, domain, opts)
-    return fp, tau, record, flat
 
 
 def pair_splits(builder: ProblemBuilder, splits: list, domain: str, opts: LiftOptions) -> list:
@@ -361,11 +361,11 @@ def _inner_solve(read, fp, opts, rng, events):
     state = LiftState(level="point", events=events)
     pending = None  # list of (num, den) per slot
     for tau in _points(rng, fp):
-        try:
-            record, flat = read(fp, tau, state.record is None)
-        except BadModulus:
+        (image,) = read([(fp, tau)], state.record is None)
+        if isinstance(image, BadModulus):
             _emit(state, opts, "skip_point", fp.p, tau)
             continue
+        record, flat = _solved(image)
         if not _admit(state, record, (), opts, fp.p, tau):
             continue
         if state.acc is None:
@@ -462,12 +462,12 @@ def do_solve(builder: ProblemBuilder, bounds: list[int], domain: str = "rational
     if domain not in ("rational", "polyrational"):
         raise ValueError(f"unknown domain {domain!r}")
     opts = opts or LiftOptions()
-    head = _first_image(builder, bounds, domain, opts)
-    fp, tau, record = head[:3]
+    fp, tau, head = _first(lambda at: _read(builder, bounds, at, True), domain, opts)
+    record = _solved(head)[0]
     if _positive(record) == 0:
         raise NoSolution(f"the first image (mod {fp.p}, t = {tau}) has an empty solution space")
     if rows is not None:
-        first_rows = builder(fp, tau).rows
+        first_rows = builder([(fp, tau)])[0].rows
         k = pair_split(first_rows, bounds)
         picks = [(k - 1 + c, c) for d, c in zip(record.defects, record.crits) if d >= 1]
         if all(i in rows for i, _ in picks):
@@ -475,7 +475,7 @@ def do_solve(builder: ProblemBuilder, bounds: list[int], domain: str = "rational
             _emit(state, opts, "rows", *(i for i, _ in picks))
             return LiftResult([_monic(rows[i], c) for i, c in picks], record, state)
 
-    res = _lift(builder, bounds, domain, opts, head)
+    res = _lift(builder, bounds, domain, opts, (fp.p, tau, head))
     if rows is not None and res.record == record:
         for (i, _), col in zip(picks, res.columns):
             # a later split may make either component monic: both must be the image's
@@ -485,19 +485,20 @@ def do_solve(builder: ProblemBuilder, bounds: list[int], domain: str = "rational
 
 
 def _lift(builder: ProblemBuilder, bounds: list[int], domain: str, opts: LiftOptions, head: tuple) -> LiftResult:
-    """The prime level of do_solve; its first image is the head.
+    """The prime level of do_solve; its first image is the head (p,
+    t_point, image), which no read solves again.
 
-    Over Q, once the state holds 16 good primes and no candidate, the
-    primes up to the next due attempt are read as one batch
-    (_solve_batch): no image between two attempts is looked at before
-    the next one, so reading them ahead changes nothing but the cost.
-    Their images are still admitted one at a time, in prime order.
+    Over Q, with no candidate pending, the primes up to the next due
+    attempt are read as one batch: no image between two attempts is
+    looked at before the next one, so reading them ahead changes nothing
+    but the cost.  Its images are still admitted one at a time, in prime
+    order.
     """
 
-    def read(at, t_point, first):
-        if at.p == head[0].p and t_point == head[1]:
-            return head[2:]
-        return _solve_image(builder, bounds, at, t_point, first)
+    def read(at, first):
+        if [(fp.p, tau) for fp, tau in at] == [head[:2]]:
+            return [head[2]]
+        return _read(builder, bounds, at, first)
 
     rng = random.Random(opts.seed) if domain == "polyrational" else None  # q points
     state = LiftState(level="prime")
@@ -505,22 +506,18 @@ def _lift(builder: ProblemBuilder, bounds: list[int], domain: str, opts: LiftOpt
     fields = _fields(opts)
     for start in fields:
         batch = [start]
-        if domain == "rational" and state.good_count >= RECON_EVERY_PRIME and pending is None:
+        if domain == "rational" and pending is None:
             c = state.good_count
             gap = next(k for k in itertools.count(1) if reconstruction_due(replace(state, good_count=c + k)))
             batch += itertools.islice(fields, gap - 1)
-        images = _solve_batch(builder, bounds, batch) if len(batch) > 1 else [None]
+        images = read([(fp, None) for fp in batch], state.record is None) if domain == "rational" else [None]
         for fp, image in zip(batch, images):
             p = fp.p
             try:
-                if isinstance(image, Exception):
-                    raise image
-                if image is not None:
-                    (record, flat), shape = image, ()
-                elif domain == "polyrational":
+                if domain == "polyrational":
                     record, shape, flat = _inner_solve(read, fp, opts, rng, state.events)
                 else:
-                    (record, flat), shape = read(fp, None, state.record is None), ()
+                    (record, flat), shape = _solved(image), ()
             except BadModulus:
                 _emit(state, opts, "skip_prime", p)
                 continue

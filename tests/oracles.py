@@ -27,6 +27,23 @@ def reduce_scalar(x, fp) -> int:
     return x.numerator % fp.p * pow(den, -1, fp.p) % fp.p
 
 
+def image_list(build):
+    """A one-image builder build(fp, t_point) in the lift's call form:
+    builder([(fp, t_point), ...]) gives per image its problem, or the
+    BadModulus that build raised."""
+
+    def builder(at):
+        out = []
+        for fp, t_point in at:
+            try:
+                out.append(build(fp, t_point))
+            except BadModulus as exc:
+                out.append(exc.with_traceback(None))  # its traceback would hold this frame, which holds `out`
+        return out
+
+    return builder
+
+
 def condition_matrix(streams, bounds, sigma, p, points=None):
     """Dense matrix of the order conditions, one row per condition.
 

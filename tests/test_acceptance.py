@@ -21,6 +21,7 @@ from oracles import (
     condition_matrix,
     flatten_solution,
     gen_prec_terms,
+    image_list,
     matrix_rank,
     nullspace_dim,
     order_basis_instances,
@@ -325,7 +326,7 @@ def test_bad_prime_recovery():
                                 points=[j % fp.p for j in range(len(values))],
                                 sigma=len(values))
 
-        res = do_solve(build, [3, 2], "rational", LiftOptions(seed=1, primes=[bad]))
+        res = do_solve(image_list(build), [3, 2], "rational", LiftOptions(seed=1, primes=[bad]))
         kinds = [e[0] for e in res.state.events]
         assert kinds[0] == "recon"  # the bad prime reconstructs plausibly
         assert "all_bad" in kinds  # a good prime then outvotes it

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import seqguess
 from seqguess import guess_prec, lift
-from seqguess.errors import BadModulus, CheckFailed, NoSolution, ReconstructionAborted
+from seqguess.errors import BadModulus, NoSolution, ReconstructionAborted
 from seqguess.lift import (
     LiftOptions,
     LiftState,
@@ -22,7 +22,7 @@ from seqguess.lift import (
     do_solve,
     reconstruction_due,
 )
-from oracles import QPARAM, QQ_T, first_failure_reference, gen_prec_terms, qpower_poly, reduce_scalar
+from oracles import QPARAM, QQ_T, first_failure_reference, gen_prec_terms, image_list, qpower_poly, reduce_scalar
 from seqguess.modarith import sample_prime
 from seqguess.models import OrderProblem
 from seqguess.rings import RatPoly
@@ -40,7 +40,7 @@ def _seq_builder(values, bounds_hint=None):
             sigma=len(values),
         )
 
-    return build
+    return image_list(build)
 
 
 def test_exact_scalar_solve():
@@ -77,7 +77,7 @@ def test_polyrational_solve():
         stream = [(t_point + j) % fp.p for j in range(3)]
         return OrderProblem(streams=[[1, 1, 1], stream], points=[0, 1, 2], sigma=3)
 
-    res = do_solve(build, [2, 1], "polyrational", LiftOptions(seed=2))
+    res = do_solve(image_list(build), [2, 1], "polyrational", LiftOptions(seed=2))
     t = RatPoly.make([0, 1])
     assert res.columns == [[[t, RatPoly.const(1)], [RatPoly.const(-1)]]]
     kinds = [e[0] for e in res.state.events]
@@ -147,7 +147,7 @@ def test_incompatible_first_image_is_outvoted_promptly():
             streams=[[v % fp.p for v in s] for s in streams], points=[0, 1], sigma=2
         )
 
-    res = do_solve(build, [2, 2], "rational", LiftOptions(seed=1))
+    res = do_solve(image_list(build), [2, 2], "rational", LiftOptions(seed=1))
     assert res.columns == [[[F(1)], [F(-3, 2)]]]
     assert "all_bad" in [e[0] for e in res.state.events]
     assert len(calls) <= 8
@@ -165,7 +165,7 @@ def test_incompatible_first_point_is_outvoted_promptly():
             streams=[[v % fp.p for v in s] for s in streams], points=[0, 1], sigma=2
         )
 
-    res = do_solve(build, [2, 2], "polyrational", LiftOptions(seed=1))
+    res = do_solve(image_list(build), [2, 2], "polyrational", LiftOptions(seed=1))
     assert res.columns == [[[RatPoly.const(1)], [RatPoly.const(F(-3, 2))]]]
     assert "all_bad_points" in [e[0] for e in res.state.events]
     assert len(calls) <= 8
@@ -253,7 +253,7 @@ def test_q_mode_solves_at_the_shared_primes_in_order():
         stream = [(t_point + j) % fp.p for j in range(3)]
         return OrderProblem(streams=[[1, 1, 1], stream], points=[0, 1, 2], sigma=3)
 
-    do_solve(build, [2, 1], "polyrational", LiftOptions(seed=seed))
+    do_solve(image_list(build), [2, 1], "polyrational", LiftOptions(seed=seed))
     assert len(seen) >= 2
     assert seen == [lift._nth_field(seed, 31, i).p for i in range(len(seen))]
 
@@ -358,22 +358,19 @@ def test_planted_recurrence_is_recovered(planted):
 # at once; read one at a time instead, every solve ends the same
 
 
-def _one_at_a_time(builder, bounds, fps):
-    """lift._solve_batch, one _solve_image per prime."""
-    out = []
-    for fp in fps:
-        try:
-            out.append(lift._solve_image(builder, bounds, fp, None, False))
-        except (BadModulus, CheckFailed) as exc:
-            out.append(exc)
-    return out
+_READ = lift._read
+
+
+def _one_at_a_time(builder, bounds, at, first):
+    """lift._read, one image per read."""
+    return [image for one in at for image in _READ(builder, bounds, [one], first)]
 
 
 def _solves(run, monkeypatch, batched):
     """Rendered results of run(), every do_solve's (columns, record, events)
     or exception, and the size of each batch read."""
     guess_module = sys.modules["seqguess.guess"]
-    solve, read, outcomes, batches = guess_module.do_solve, lift._solve_batch if batched else _one_at_a_time, [], []
+    solve, read, outcomes, batches = guess_module.do_solve, _READ if batched else _one_at_a_time, [], []
 
     def recording(*args):
         try:
@@ -384,12 +381,13 @@ def _solves(run, monkeypatch, batched):
         outcomes.append((res.columns, res.record, res.state.events))
         return res
 
-    def reading(builder, bounds, fps):
-        batches.append(len(fps))
-        return read(builder, bounds, fps)
+    def reading(builder, bounds, at, first):
+        if len(at) > 1:
+            batches.append(len(at))
+        return read(builder, bounds, at, first)
 
     monkeypatch.setattr(guess_module, "do_solve", recording)
-    monkeypatch.setattr(lift, "_solve_batch", reading)
+    monkeypatch.setattr(lift, "_read", reading)
     results = run()
     monkeypatch.undo()
     return [str(r) for r in results], outcomes, batches
@@ -423,21 +421,18 @@ def test_a_bad_prime_inside_a_batch_is_dropped_as_alone(monkeypatch):
     q = lift._nth_field(1, 31, 60).p
     A = 10**200 * q
     values = [F(A * j * j + j) for j in range(5)]
-    single = _seq_builder(values)
-
-    def builder(fp, t_point):
-        return [single(f, None) for f in fp] if isinstance(fp, list) else single(fp, t_point)
-
+    builder = _seq_builder(values)
     opts = LiftOptions(seed=1, primes=[lift._nth_field(1, 31, i).p for i in range(33)] + [q])
-    batches, read = [], lift._solve_batch
+    batches = []
 
-    def reading(builder, bounds, fps):
-        batches.append([fp.p for fp in fps])
-        return read(builder, bounds, fps)
+    def reading(builder, bounds, at, first):
+        if len(at) > 1:
+            batches.append([fp.p for fp, _ in at])
+        return _READ(builder, bounds, at, first)
 
-    monkeypatch.setattr(lift, "_solve_batch", reading)
+    monkeypatch.setattr(lift, "_read", reading)
     res = do_solve(builder, [3, 2], "rational", opts)
-    monkeypatch.setattr(lift, "_solve_batch", _one_at_a_time)
+    monkeypatch.setattr(lift, "_read", _one_at_a_time)
     alone = do_solve(builder, [3, 2], "rational", opts)
     assert (res.columns, res.record, res.state.events) == (alone.columns, alone.record, alone.state.events)
     assert ("bad_prime", q) in res.state.events and res.columns == [[[F(0), F(1, A), F(1)], [F(-1, A)]]]
@@ -515,7 +510,7 @@ def test_prime_with_every_point_bad_is_skipped():
         stream = [(t_point + j) % fp.p for j in range(3)]
         return OrderProblem(streams=[[1, 1, 1], stream], points=[0, 1, 2], sigma=3)
 
-    res = do_solve(build, [2, 1], "polyrational", LiftOptions(seed=2, primes=[5]))
+    res = do_solve(image_list(build), [2, 1], "polyrational", LiftOptions(seed=2, primes=[5]))
     t = RatPoly.make([0, 1])
     assert res.columns == [[[t, RatPoly.const(1)], [RatPoly.const(-1)]]]
     assert [e for e in res.state.events if e[0] == "skip_prime"] == [("skip_prime", 5)]
@@ -528,3 +523,31 @@ def test_term_denominator_divisible_by_the_first_prime_in_q_mode():
     assert seqguess.guess_rat([RatPoly.make([1, n], [P0]) for n in range(8)], q=True) == []
     got = seqguess.guess_rat([RatPoly.make([1] * (n + 1), [P0]) for n in range(8)], q=True)
     assert [str(r) for r in got] == [f"[f(n): f(n) = (qq^n - 1)/({P0}q - {P0})]"]
+
+
+def test_q_mode_head_is_the_lift_first_image_after_a_skipped_prime(monkeypatch):
+    """Every point at p0 is bad, so the head lies at the second prime.  The
+    head and the lift draw their points from one rng across primes, so the
+    lift reuses the head: it is solved once, and no other first image is
+    solved at that prime."""
+    read, reads = lift._read, []
+
+    def reading(builder, bounds, at, first):
+        out = read(builder, bounds, at, first)
+        reads[-1] += [(fp.p, t, first) for (fp, t), image in zip(at, out) if not isinstance(image, BadModulus)]
+        return out
+
+    solve = sys.modules["seqguess.guess"].do_solve
+
+    def recording(*args):
+        reads.append([])
+        return solve(*args)
+
+    monkeypatch.setattr(lift, "_read", reading)
+    monkeypatch.setattr(sys.modules["seqguess.guess"], "do_solve", recording)
+    assert seqguess.guess_rat([RatPoly.make([1] * n, [P0]) for n in range(8)], q=True)
+    assert reads
+    for solved in reads:
+        head = solved[0]
+        assert head[0] != P0 and head[2]
+        assert solved.count(head) == 1 and [r for r in solved if r[0] == head[0] and r[2]] == [head]

@@ -311,7 +311,7 @@ def test_term_store_images_equal_fresh_builds(klass, opts, q):
             sigma = len(terms) - schema.loss
             for fp, tau in keys:
                 streams, points = naive_images([_store_into(fp, tau)(t) for t in terms], schema, fp, tau)
-                prob = builder(fp, tau)
+                (prob,) = builder([(fp, tau)])
                 assert prob.sigma == sigma
                 assert prob.streams == [s[:sigma] for s in streams]
                 assert prob.points == (None if points is None else points[:sigma])
@@ -342,7 +342,7 @@ def test_term_store_bad_modulus_matches_raw_build(q, terms, tau, bad):
     schema = build_schema("rat", Options(), 2, q=q)
     assert _raises_bad_modulus(lambda: [_store_into(fp, tau)(t) for t in terms], (BadModulus, ZeroDivisionError)) is bad
     assert _raises_bad_modulus(lambda: build_images(_TermImages(terms, q).modular(fp, tau)[0], schema, fp, tau)) is bad
-    assert _raises_bad_modulus(lambda: _make_builder(_TermImages(terms, q), schema)(fp, tau)) is bad
+    assert isinstance(_make_builder(_TermImages(terms, q), schema)([(fp, tau)])[0], BadModulus) is bad
 
 
 def _filtered_stream(klass, opts, q):

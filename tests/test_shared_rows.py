@@ -119,17 +119,17 @@ BAD = 1_000_003
 
 def _scan_agrees(builder, splits, domain, opts):
     """lift.pair_splits keeps exactly the splits whose standalone do_solve
-    does not raise NoSolution, and reads the (p, t) that lift._first_image
+    does not raise NoSolution, and reads the (p, t) that do_solve's head
     reads for each split; returns the (p, t) builder calls of the scan."""
     reads = []
 
-    def reading(fp, t_point):
-        reads.append((fp.p, t_point))
-        return builder(fp, t_point)
+    def reading(at):
+        reads.extend((fp.p, t_point) for fp, t_point in at)
+        return builder(at)
 
     kept = lift.pair_splits(reading, splits, domain, opts)
     for bounds in splits:
-        fp, tau = lift._first_image(builder, list(bounds), domain, opts)[:2]
+        fp, tau = lift._first(lambda at: lift._read(builder, list(bounds), at, True), domain, opts)[:2]
         assert (fp.p, tau) == reads[-1], bounds
         try:
             do_solve(builder, list(bounds), domain, opts, {})
