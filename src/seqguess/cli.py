@@ -449,7 +449,12 @@ def main(argv=None) -> int:
     except (CheckFailed, ValueError) as e:
         print(f"seqguess: internal error: {e}", file=sys.stderr)
         return 3
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed the pipe early (`| head -1`): the outcome stands, and with
+        # no sys.stdout the interpreter's flush at exit does not raise again
+        sys.stdout = None
     return 0 if results else 1
 
 if __name__ == "__main__":

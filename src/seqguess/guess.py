@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from .errors import BadModulus, NoSolution, SchemaExhausted, UsageError
 from .hermite_pade import remainder_rows
-from .lift import LiftOptions, do_solve, pair_splits
+from .lift import PRIME_BITS, LiftOptions, do_solve, pair_splits
 from .modarith import ModPrime, sample_prime
 from .models import CLASS_NAMES, Schema, build_images, build_schema, check_images
 from .rings import QQ, ZZ, RatPoly, clear_denominators, peval, pmul, pmul_trunc, pscale, psub
@@ -467,7 +467,9 @@ def _spot_check(result: GuessResult, store: _TermImages, trials: int = 3, seed: 
     for _ in range(20 * trials):
         if done >= trials:
             break
-        p = sample_prime(31, exclude=used, rng=rng)
+        # one bit below the lift's drawn primes, so the spot check never reads a
+        # prime that the candidate was reconstructed or validated at
+        p = sample_prime(PRIME_BITS - 1, exclude=used, rng=rng)
         used.add(p)
         fp = ModPrime(p)
         q_point = rng.randrange(1, p) if schema.q else None

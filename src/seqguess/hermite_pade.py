@@ -55,21 +55,20 @@ conditions per split (guess.PAIR_SIGMA_PER_SPLIT).  The splits then
 share the rows' lift as well as the image: lift.pair_splits settles every
 split without a solution column with one scan of the first image's rows,
 and lift.do_solve lifts each row once per schema and serves every later
-split that reads it.  In the sequence form the interpolant is built from
-the node polynomial and barycentric weights of the points, kept per
-(prime, points) for the last NODE_CACHE point sets (_nodes).
+split that reads it.  In the sequence form the interpolant comes from
+rings.interpolate, the routine the lift's point level uses too, on the
+node polynomial and barycentric weights of the points, kept per (prime,
+points) for the last NODE_CACHE point sets (_nodes).
 """
 
 from __future__ import annotations
 
 import functools
-import math
-import operator
 from dataclasses import dataclass
 
 from .errors import BadModulus, NoSolution
 from .modarith import ModPrime
-from .rings import ptrim, remainder_sequence
+from .rings import interpolate, node_weights, ptrim, remainder_sequence
 
 NODE_CACHE = 32  # point sets whose node polynomial and weights _nodes keeps
 
@@ -255,13 +254,9 @@ def remainder_rows(stream: list, sigma: int, fp: ModPrime, points: list[int] | N
     rows of remainder_sequence on (M, G), any two consecutive ones a basis
     of {p_0 = p_1 * G mod M} (the Pade table; von zur Gathen-Gerhard
     5.7-5.9).  Series form: M = x^sigma, G = -stream; sequence form:
-    M = prod (x - x_j), G the interpolant of -stream, and colliding points
-    raise BadModulus, as in sigma_basis.
-
-    The interpolant is G = sum_j (-s_j * w_j) * M / (x - x_j), with M and
-    the weights w_j = 1 / prod_{i != j} (x_j - x_i) of _nodes: its x^i
-    coefficient is sum_{l > i} M_l * P_(l-1-i), with P_e the power sums
-    sum_j (-s_j * w_j) * x_j^e.  No inverse is taken once the points are known.
+    M = prod (x - x_j) and G the interpolant of -stream, both from
+    rings.interpolate on the node polynomial and weights of _nodes, and
+    colliding points raise BadModulus, as in sigma_basis.
     """
     p = fp.p
     if points is None:
@@ -270,20 +265,14 @@ def remainder_rows(stream: list, sigma: int, fp: ModPrime, points: list[int] | N
         xs = tuple(x % p for x in points)
         if len(set(xs)) != sigma:
             raise BadModulus(f"sample points collide mod {p}")
-        M, w = _nodes(p, xs)
-        c = [-v * u % p for v, u in zip(stream, w)]
-        P = [sum(c) % p]
-        for _ in range(sigma - 1):
-            c = [a * x % p for a, x in zip(c, xs)]
-            P.append(sum(c) % p)
-        M, G = list(M), ptrim([sum(map(operator.mul, M[i + 1:], P)) % p for i in range(sigma)], fp)
+        M, (G,) = interpolate(fp, xs, [[-v for v in stream]], _nodes)
     return list(remainder_sequence(M, G, fp))
 
 
 @functools.lru_cache(maxsize=NODE_CACHE)
 def _nodes(p: int, xs: tuple) -> tuple[tuple, tuple]:
-    """(M, w) for distinct points xs mod p: the node polynomial
-    M = prod (x - x_j) and the weights w_j = 1 / prod_{i != j} (x_j - x_i).
+    """rings.node_weights(p, xs): the node polynomial and weights of the
+    distinct points xs mod p.
 
     The search reads the same points at the same primes in every schema
     size and every operator-search node, so the last NODE_CACHE point sets
@@ -292,7 +281,4 @@ def _nodes(p: int, xs: tuple) -> tuple[tuple, tuple]:
     + 2) ints, sigma_max the most points of a cached set; never a
     sigma x sigma matrix.
     """
-    M = [1]
-    for x in xs:
-        M = [(u - x * v) % p for u, v in zip([0, *M], [*M, 0])]
-    return tuple(M), tuple(pow(math.prod(x - y for y in xs if y != x), -1, p) for x in xs)
+    return node_weights(p, xs)

@@ -181,10 +181,7 @@ def schema_stream(klass: str, opts, q: bool = False):
         max_weight = 0  # only the empty product passes; the unbounded stream would never end
 
     def admissible(parts: tuple[int, ...]) -> bool:
-        if part_cap is not None and parts and parts[0] > part_cap:
-            return False
-        if count_cap is not None and len(parts) > count_cap:
-            return False
+        """The homogeneity and somos filters; both sources already keep the caps."""
         if homog is True:
             if not parts:
                 return False

@@ -23,7 +23,8 @@ from functools import reduce
 from math import gcd, lcm
 
 from .models import Monomial, Schema
-from .rings import QQ, RatPoly, clear_denominators, dec_str, fraction_from_dec, fraction_str, int_from_dec, pdiv_exact, pgcd
+from .rings import (QQ, ZZ, RatPoly, clear_denominators, dec_str, fraction_from_dec, fraction_str, int_from_dec, padd,
+                    pdiv_exact, pgcd)
 
 RESULT_SCHEMA = "seqguess-result-v1"
 OPERATOR_SCHEMA = "seqguess-operator-v1"
@@ -134,10 +135,6 @@ def _join_terms(terms: list[tuple[int, str]]) -> str:
     return " ".join(parts)
 
 
-def _int_poly_str(coeffs: list[int], var: str) -> str:
-    return _join_terms(_int_terms(coeffs, var))
-
-
 def _qpoly_factor(p: list[int]) -> tuple[int, str, bool]:
     """Render a q-polynomial coefficient: (sign, body, needs_parens).
 
@@ -210,20 +207,8 @@ def _monomial_str(mo: Monomial, names: tuple) -> str:
 
 
 def _value_str(v) -> str:
-    if isinstance(v, RatPoly):
-        # scale numerator and denominator jointly so the value is kept
-        s = _primitive_scale([c for c in v.num if c] + [c for c in v.den if c])
-        num = [int(c * s) for c in v.num]
-        den = [int(c * s) for c in v.den]
-        ns = _int_poly_str(num, "q") if num else "0"
-        if den == [1]:
-            return ns
-        ds = _int_poly_str(den, "q")
-        if " " in ns:
-            ns = f"({ns})"
-        if " " in ds:
-            ds = f"({ds})"
-        return f"{ns}/{ds}"
+    if isinstance(v, RatPoly):  # num/den in q, with the closed forms' scaling and parentheses
+        return _fraction_str(list(v.num), list(v.den), False, "q")
     return fraction_str(Fraction(v))
 
 
@@ -329,11 +314,11 @@ def _den_can_vanish(c_f, result) -> bool:
     # of the coefficients the top term dominates and the value is nonzero
     polys = [RatPoly.coerce(c) for c in c_f]
     span = max(len(p.num) + len(p.den) for p in polys if p)
+    nums = clear_denominators(polys)[0]  # over one denominator: test sum_k n_k q^(jk) in Z[q]
     for j in range(span + 1):
-        val = RatPoly.const(0)
-        for k, p in enumerate(polys):
-            if p:
-                val = val + p * RatPoly.make([0] * (j * k) + [1])
+        val = []
+        for k, n in enumerate(nums):
+            val = padd(val, [0] * (j * k) + n, ZZ)
         if not val:
             return True
     return False
@@ -559,17 +544,13 @@ def _result_from_obj(obj):
 def _operator_from_obj(obj):
     from .guess import OperatorExpr
 
-    child = obj["child"]
-    if child.get("schema") == RESULT_SCHEMA:
-        child_val = _result_from_obj(child)
-    else:
-        child_val = _operator_from_obj(child)
     base = None if obj["base"] is None else _value_from_json(obj["base"])
-    return OperatorExpr(obj["kind"], child_val, base=base, offset=obj["offset"])
+    return OperatorExpr(obj["kind"], _from_obj(obj["child"]), base=base, offset=obj["offset"])
+
+
+def _from_obj(obj):
+    return _operator_from_obj(obj) if obj.get("schema") == OPERATOR_SCHEMA else _result_from_obj(obj)
 
 
 def result_from_json(text: str):
-    obj = json.loads(text)
-    if obj.get("schema") == OPERATOR_SCHEMA:
-        return _operator_from_obj(obj)
-    return _result_from_obj(obj)
+    return _from_obj(json.loads(text))

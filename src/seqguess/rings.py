@@ -19,9 +19,9 @@ str() refuse beyond sys.get_int_max_str_digits() digits.
 
 Everything here is deliberately quadratic: schoolbook products, plain
 extended Euclid (remainder_sequence, for Cauchy interpolation and the
-order basis of two streams), incremental Newton interpolation.  CRT and
-interpolation keep one state for a whole vector, its entries sharing the
-moduli (primes; points and their node polynomial).
+order basis of two streams), interpolation from the node polynomial and
+barycentric weights (interpolate).  CRT and interpolation keep one state
+for a whole vector, its entries sharing the moduli (primes; points).
 """
 
 from __future__ import annotations
@@ -200,10 +200,6 @@ def pmonic(a: list, F) -> list:
 # rational functions in one parameter over QQ
 
 
-def _fpgcd(a: tuple, b: tuple) -> list:
-    return pgcd(list(a), list(b), QQ)
-
-
 @dataclass(frozen=True)
 class RatPoly:
     """num(t)/den(t) with Fraction coefficients, den monic, gcd trimmed."""
@@ -219,7 +215,7 @@ class RatPoly:
             raise ZeroDivisionError("zero denominator")
         if not num:
             return cls((), (Fraction(1),))
-        g = _fpgcd(tuple(num), tuple(den))
+        g = pgcd(num, den, QQ)
         if pdeg(g) > 0:
             num = pdivmod(num, g, QQ)[0]
             den = pdivmod(den, g, QQ)[0]
@@ -343,59 +339,83 @@ def crt_combine(acc: CrtAccumulator, images: list, modulus: int) -> CrtAccumulat
 
 
 # ---------------------------------------------------------------------------
-# incremental Newton interpolation over a prime field, one state for a whole vector
+# interpolation over a prime field, one routine for a whole vector
+
+
+def node_weights(p: int, xs) -> tuple[tuple, tuple]:
+    """(M, w) for distinct points xs mod p: the node polynomial M = prod (x - x_j)
+    and the weights w_j = 1 / prod_{i != j} (x_j - x_i), each product reduced
+    at every factor, so that a weight costs one inverse of a residue."""
+    M = [1]
+    for x in xs:
+        M = [(u - x * v) % p for u, v in zip([0, *M], [*M, 0])]
+    w = []
+    for x in xs:
+        d = 1
+        for y in xs:
+            if y != x:
+                d = d * (x - y) % p
+        w.append(pow(d, -1, p))
+    return tuple(M), tuple(w)
+
+
+def interpolate(fp: ModPrime, xs, rows: list, nodes=node_weights) -> tuple[list, list]:
+    """(M, per row of values at the distinct points xs, its interpolant mod p).
+
+    The interpolant of degree < K = len(xs) is sum_j v_j * w_j * M / (x - x_j),
+    M and the weights w_j from nodes(p, xs): its x^i coefficient is sum_{l > i}
+    M_l * P_(l-1-i), P_e the power sums sum_j v_j * w_j * x_j^e.  The rows share
+    the nodes, and take no inverse once they are known.
+    """
+    p, K = fp.p, len(xs)
+    M, w = nodes(p, xs)
+    dense = []
+    for values in rows:
+        c = [v * u % p for v, u in zip(values, w)]
+        P = [sum(c) % p]
+        for _ in range(K - 1):
+            c = [a * x % p for a, x in zip(c, xs)]
+            P.append(sum(c) % p)
+        dense.append(ptrim([sum(map(operator.mul, M[i + 1:], P)) % p for i in range(K)], fp))
+    return list(M), dense
 
 
 @dataclass
 class LagrangeAccumulator:
-    """Newton-form interpolants of a vector through the points added so far.
+    """The points added so far and, per entry of a vector, its values there.
 
-    Entries share the points, the node polynomial and, at each new point,
-    the Newton basis and its one inverse.  Start from one empty list per entry.
+    Entries share the points; `interpolate` turns them into the node
+    polynomial and one interpolant per entry.  Start from one empty list per entry.
     """
 
     fp: ModPrime
-    newton: list  # per entry, its Newton coefficients
+    values: list  # per entry, its values at the points, in order
     points: list = field(default_factory=list)
-    node: list = field(default_factory=lambda: [1])  # prod (t - x_i)
 
     def count(self) -> int:
         return len(self.points)
 
+    @property
+    def node(self) -> list:
+        """prod (t - x_i) over the points."""
+        return interpolate(self.fp, self.points, [])[0]
+
     def to_dense(self) -> list:
-        """Per entry, its interpolant in the monomial basis (Horner on the Newton form)."""
-        p, dense = self.fp.p, []
-        for coeffs in self.newton:
-            out = []
-            for c, x in zip(reversed(coeffs), reversed(self.points)):
-                out = _times_linear(out, x, p)
-                out[0] = (out[0] + c) % p
-            dense.append(ptrim(out, self.fp))
-        return dense
-
-
-def _times_linear(a: list, x: int, p: int) -> list:
-    """a * (t - x) mod p."""
-    return [(u - x * v) % p for u, v in zip([0, *a], [*a, 0])]
+        """Per entry, its interpolant in the monomial basis."""
+        return interpolate(self.fp, self.points, self.values)[1]
 
 
 def lagrange_add(acc: LagrangeAccumulator, point: int, values: list) -> LagrangeAccumulator:
-    """Add one point and the vector's values there; Newton update, O(#points) per entry."""
+    """Add one point and the vector's values there."""
     p = acc.fp.p
-    if len(values) != len(acc.newton):
-        raise ValueError(f"value vector has {len(values)} entries, accumulator {len(acc.newton)}")
+    if len(values) != len(acc.values):
+        raise ValueError(f"value vector has {len(values)} entries, accumulator {len(acc.values)}")
     point = point % p
     if point in acc.points:
         raise ValueError(f"repeated interpolation point {point}")
-    basis = [1]  # prod_{j<i} (point - x_j), the Newton basis at `point`
-    for x in acc.points:
-        basis.append(basis[-1] * (point - x) % p)
-    inv = acc.fp.inv(basis.pop())
-    for coeffs, v in zip(acc.newton, values):
-        cur = sum(map(operator.mul, coeffs, basis))
-        coeffs.append((v - cur) * inv % p)
+    for entry, v in zip(acc.values, values):
+        entry.append(v % p)
     acc.points.append(point)
-    acc.node = _times_linear(acc.node, point, p)
     return acc
 
 
@@ -491,18 +511,20 @@ def poly_rat_recon(acc: LagrangeAccumulator) -> list | None:
 
     Balanced degree split: deg num ≤ K//2, deg den ≤ K-1-K//2 where K is
     the number of points: the first row of remainder_sequence on (node,
-    interpolant) whose remainder has degree ≤ K//2.  Each returned pair
-    is coprime with monic denominator; None when an entry fits no such
-    function (or its denominator vanishes at a sample point).
+    interpolant) whose remainder has degree ≤ K//2, both from one
+    `interpolate` call.  Each returned pair is coprime with monic
+    denominator; None when an entry fits no such function (or its
+    denominator vanishes at a sample point).
     """
     fp = acc.fp
     K = acc.count()
     if K < 1:
         raise ValueError("no points added yet")
     dn, dd = K // 2, K - 1 - K // 2
+    node, dense = interpolate(fp, acc.points, acc.values)
     out = []
-    for M in acc.to_dense():
-        num, den = next((r, t) for r, t in remainder_sequence(acc.node, M, fp) if pdeg(r) <= dn)
+    for G, values in zip(dense, acc.values):
+        num, den = next((r, t) for r, t in remainder_sequence(node, G, fp) if pdeg(r) <= dn)
         if not den or pdeg(den) > dd:
             return None
         g = pgcd(num, den, fp)
@@ -511,10 +533,10 @@ def poly_rat_recon(acc: LagrangeAccumulator) -> list | None:
             den = pdivmod(den, g, fp)[0]
         inv_lead = fp.inv(den[-1])
         num, den = pscale(num, inv_lead, fp), pscale(den, inv_lead, fp)
-        # decisive verification at every sample point
-        for x in acc.points:
+        # decisive verification against the stored value at every sample point
+        for x, v in zip(acc.points, values):
             dv = peval(den, x, fp)
-            if dv == 0 or peval(num, x, fp) != fp.mul(dv, peval(M, x, fp)):
+            if dv == 0 or peval(num, x, fp) != fp.mul(dv, v):
                 return None
         out.append((num, den))
     return out

@@ -44,6 +44,30 @@ def image_list(build):
     return builder
 
 
+def newton_interpolant(points, values, p):
+    """(node polynomial, interpolant) of values at distinct points mod p,
+    by divided differences and Horner on the Newton form: dense lists,
+    lowest degree first, the interpolant without trailing zeros."""
+    xs, c = [x % p for x in points], [v % p for v in values]
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) * pow(xs[i] - xs[i - k], -1, p) % p
+
+    def times_linear(a, x):
+        return [(u - x * v) % p for u, v in zip([0, *a], [*a, 0])]
+
+    dense = []
+    for a, x in zip(reversed(c), reversed(xs)):
+        dense = times_linear(dense, x)
+        dense[0] = (dense[0] + a) % p
+    while dense and not dense[-1]:
+        dense.pop()
+    node = [1]
+    for x in xs:
+        node = times_linear(node, x)
+    return node, dense
+
+
 def condition_matrix(streams, bounds, sigma, p, points=None):
     """Dense matrix of the order conditions, one row per condition.
 

@@ -328,6 +328,26 @@ def test_main_json_roundtrip(capsys):
     assert str(result_from_json(out)) == "[f(n): f(n) = n^2]"
 
 
+def test_main_closed_pipe_keeps_the_outcome(monkeypatch, capsys):
+    """A reader that closed its end of the pipe (`| head -1`) makes the
+    final write raise BrokenPipeError: no traceback, and a found guess
+    still exits 0, not 1 ("no guess"); in a process of its own too."""
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    for argv, code in ((["--json", "0", "1", "4", "9"], 0), (["--class", "pade", "1", "2", "3"], 1)):
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(argv) == code
+    assert capsys.readouterr().err == ""
+    proc = subprocess.Popen([sys.executable, "-m", "seqguess.cli", "--json", "0", "1", "4", "9"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": SRC})
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 def test_main_json_no_guess(capsys):
     assert main(["--json", "--class", "pade", "1", "2", "3"]) == 1
     assert capsys.readouterr().out.strip() == "null"

@@ -4,6 +4,7 @@ import importlib
 import math
 import random
 import threading
+from dataclasses import replace
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -325,6 +326,25 @@ def test_check_monte_carlo_modes():
     assert got and got[0].checked == "montecarlo"
     got = guess_alg(catalan, check="none")
     assert got and got[0].checked == "unchecked"
+
+
+def test_check_monte_carlo_reads_no_prime_of_the_lift():
+    """Fibonacci with f(n)'s coefficient raised by P, the product of the
+    first three primes of the lift's seed-0 list: every image at those
+    primes is the true one, so a spot check there passes a wrong equation.
+    The spot check draws its primes apart from the lift's and refutes it,
+    as it refutes a raise by 7."""
+    lift = importlib.import_module("seqguess.lift")
+    fib = [0, 1]
+    while len(fib) < 22:
+        fib.append(fib[-1] + fib[-2])
+    res = guess_prec(fib)[0]
+    assert res.coeffs == [[], [1], [1], [-1]]
+    P = math.prod(lift._nth_field(0, lift.PRIME_BITS, i).p for i in range(3))
+    for d in (P, 7):
+        wrong = replace(res, coeffs=[[], [1 + d], [1], [-1]])
+        assert not check_deterministic(wrong, fib)
+        assert not check_monte_carlo(wrong, fib)
 
 
 @pytest.mark.parametrize("klass, terms, kw", [

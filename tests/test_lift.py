@@ -2,6 +2,7 @@
 detection of structurally bad reductions."""
 
 import gc
+import itertools
 import random
 import sys
 import threading
@@ -22,10 +23,11 @@ from seqguess.lift import (
     do_solve,
     reconstruction_due,
 )
-from oracles import QPARAM, QQ_T, first_failure_reference, gen_prec_terms, image_list, qpower_poly, reduce_scalar
-from seqguess.modarith import sample_prime
+from oracles import (QPARAM, QQ_T, first_failure_reference, gen_prec_terms, image_list, newton_interpolant, qpower_poly,
+                     reduce_scalar)
+from seqguess.modarith import ModPrime, sample_prime
 from seqguess.models import OrderProblem
-from seqguess.rings import RatPoly
+from seqguess.rings import RatPoly, peval
 from seqguess.sigma_normalize import ReductionRecord
 
 
@@ -101,6 +103,63 @@ def test_skip_prime_on_bad_modulus():
     events = res.state.events
     assert events[0] == ("skip_prime", 5)
     assert res.columns == [[[F(5), F(1)], [F(-5)]]]  # c0 = x + 5, c1 = -5
+
+
+def test_prime_blind_to_the_candidate_keeps_both(monkeypatch):
+    """The candidate that the first prime reconstructs has the denominator
+    257; at the forced second prime 257 _reduce_flat cannot reduce it, so
+    the lift keeps the candidate and absorbs the image, and a later prime
+    validates the exact columns."""
+    K = 10**40
+    values = [F(K * j * j + j) for j in range(5)]
+    blind = []
+    reduce_flat = lift._reduce_flat
+
+    def spy(vec, fp):
+        try:
+            return reduce_flat(vec, fp)
+        except BadModulus:
+            blind.append((fp.p, max(v.denominator for v in vec)))
+            raise
+
+    monkeypatch.setattr(lift, "_reduce_flat", spy)
+    res = do_solve(_seq_builder(values), [3, 2], "rational", LiftOptions(seed=7, primes=[1000003, 257]))
+    assert res.columns == [[[F(0), F(1, K), F(1)], [F(-1, K)]]]
+    assert blind == [(257, 257)]
+    assert res.state.events[:2] == [("recon", 1000003, 1, True), ("recon", 257, 2, False)]
+    assert res.state.events[-1][0] == "validated" and res.state.events[-1][1] not in (1000003, 257)
+
+
+def test_point_blind_to_the_candidate_keeps_it(monkeypatch):
+    """At the first prime the four-point reconstruction of P(t) is planted
+    as N(t)/(t - tau_5), tau_5 the fifth point drawn: P agrees with it at
+    the first four points.  The fifth point cannot judge the candidate
+    (_match_poly_candidate gives None), the sixth refutes it, and the lift
+    still returns the planted column c0 = x + P(t), c1 = -1."""
+    fp = ModPrime(10007)
+    opts = LiftOptions(seed=3, primes=[fp.p])
+    taus = list(itertools.islice(lift._points(random.Random(opts.seed), fp), 5))
+    N = [3, 1, 2]
+    assert peval(N, taus[4], fp)  # N/(t - tau_5) in lowest terms
+    node, L = newton_interpolant(taus[:4], [fp.div(peval(N, x, fp), x - taus[4]) for x in taus[:4]], fp.p)
+    P = [(a + b) % fp.p for a, b in zip(L + [0] * (5 - len(L)), node)]  # degree 4, equal to L at taus[:4]
+
+    def build(fp, t_point):
+        return OrderProblem(streams=[[1, 1, 1], [(peval(P, t_point, fp) + j) % fp.p for j in range(3)]],
+                            points=[0, 1, 2], sigma=3)
+
+    verdicts = []
+    match = lift._match_poly_candidate
+
+    def spy(cand, flat, tau, fp):
+        verdicts.append((tau, match(cand, flat, tau, fp)))
+        return verdicts[-1][1]
+
+    monkeypatch.setattr(lift, "_match_poly_candidate", spy)
+    res = do_solve(image_list(build), [2, 1], "polyrational", opts)
+    assert res.columns == [[[RatPoly.make(P), RatPoly.const(1)], [RatPoly.const(-1)]]]
+    assert (taus[4], None) in verdicts
+    assert ("point_recon", fp.p, 4, True) in res.state.events
 
 
 # ---------------------------------------------------------------------------

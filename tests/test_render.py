@@ -6,7 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from seqguess.guess import GuessResult, Options, guess, guess_alg, guess_pade, guess_prec, guess_rat
+from seqguess import rings
+from seqguess.guess import GuessResult, Options, guess, guess_alg, guess_holo, guess_pade, guess_prec, guess_rat
 from seqguess.models import build_schema
 from seqguess.render import (
     OPERATOR_SCHEMA,
@@ -143,3 +144,55 @@ def test_coefficients_past_the_str_digit_limit():
         back = result_from_json(text)
         assert back.coeffs == res.coeffs and back.ics == res.ics
         assert render_text(back) == render_text(res)
+
+
+_Q_CATALAN_TEXT = (
+    "[f(n): f(n) = ((-2352q^12 + 378q^11 + 1134q^10 + 1708q^9 - 784q^8 - 1974q^7 + 1666q^6 + "
+    "672q^5 + 424q^4 - 938q^3 - 266q^2 + 416q - 84)q^(2n) + (-378q^15 - 616q^14 + 3136q^13 + "
+    "2814q^12 - 140q^11 - 3976q^10 - 2160q^9 + 1872q^8 + 196q^7 - 598q^6 - 976q^5 + 644q^4 + "
+    "322q^3 - 140q^2)q^n + 378q^17 - 1400q^16 + 1078q^15 + 644q^14 - 2530q^13 - 56q^12 + 56q^11 "
+    "+ 2530q^10 - 644q^9 - 1078q^8 + 1400q^7 - 378q^6)/((112q^7 - 257q^6 - 514q^5 + 1085q^4 - "
+    "514q^3 - 257q^2 + 112q)q^(3n) + (-168q^12 + 266q^11 + 910q^10 - 443q^9 - 382q^8 - 834q^7 + "
+    "1095q^6 + 470q^5 - 147q^4 - 167q^3 - 121q^2 + 304q - 84)q^(2n) + (-378q^15 - 616q^14 + "
+    "952q^13 + 742q^12 + 196q^11 - 1601q^10 - 523q^9 + 475q^8 + 286q^7 - 139q^6 - 260q^5 + "
+    "130q^4 + 65q^3 - 28q^2)q^n + 378q^17 - 1400q^16 + 1078q^15 + 644q^14 - 346q^13 - 168q^12 - "
+    "168q^11 + 379q^10 - 130q^9 - 83q^8 + 58q^7 - 9q^6)]"
+)
+
+
+def test_q_closed_form_renders_without_rational_function_sums(monkeypatch):
+    """The closed form of a q-mode rat result on six Catalan numbers: the
+    test whether its denominator vanishes at some q^n runs on integer
+    coefficient lists, so rendering makes few polynomial divisions."""
+    (res,) = guess_rat([1, 1, 2, 5, 14, 42], q=True, safety=0, check_extra_values=False)
+    calls = []
+    divmod_ = rings.pdivmod
+    monkeypatch.setattr(rings, "pdivmod", lambda *args: calls.append(1) or divmod_(*args))
+    assert render_text(res) == _Q_CATALAN_TEXT
+    assert len(calls) <= 200
+
+
+def test_q_dilation_parts_render_and_roundtrip():
+    """f(qx) and f(q^2x), the q-dilation parts 2 and 3, in a q-holonomic
+    series: sum_n q^(n^2) x^n / (q; q)_n satisfies f(x) = f(qx) + qx f(q^2x)."""
+    poch = RatPoly.const(1)
+    terms = []
+    for n in range(10):
+        terms.append(RatPoly.make([0] * (n * n) + [1]) / poch)
+        poch = poch * RatPoly.make([1] + [0] * n + [-1])
+    (res,) = guess_holo(terms, q=True)
+    text = render_text(res)
+    assert text.startswith("[[x^n]f(x): (q)xf(q^2x) + f(qx) - f(x) = 0, f(x) = 1 + (-q/(q - 1))x + ")
+    back = result_from_json(result_to_json(res))
+    assert back.schema == res.schema and back.coeffs == res.coeffs and back.ics == res.ics
+    assert render_text(back) == text
+
+
+def test_q_values_with_a_non_constant_denominator():
+    """Initial values in Q(q) print as num/den, each side in parentheses
+    when it has several terms: f(n) = (q^n + q^2 + 1)/(q + 1)."""
+    terms = [(RatPoly.make([0] * n + [1]) + RatPoly.make([1, 0, 1])) / RatPoly.make([1, 1]) for n in range(10)]
+    (res,) = guess_prec(terms, q=True, homogeneous=True)
+    assert render_text(res) == ("[f(n): f(n+2) + (-q - 1)f(n+1) + qf(n) = 0, "
+                                "f(0)= (q^2 + 2)/(q + 1), f(1)= (q^2 + q + 1)/(q + 1)]")
+    assert render_text(result_from_json(result_to_json(res))) == render_text(res)

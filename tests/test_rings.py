@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import QPARAM, QQ_T, ratpoly_eval, reduce_scalar
-from seqguess import rings
+from oracles import QPARAM, QQ_T, newton_interpolant, ratpoly_eval, reduce_scalar
+from seqguess import hermite_pade, rings
+from seqguess.hermite_pade import remainder_rows
 from seqguess.modarith import ModPrime, sample_prime
 from seqguess.rings import (
     QQ,
@@ -33,6 +34,7 @@ from seqguess.rings import (
     ptrim,
     rat_recon,
     rat_recon_vec,
+    remainder_sequence,
 )
 
 
@@ -253,6 +255,35 @@ def test_lagrange_vector_matches_one_accumulator_per_entry():
         assert vec.to_dense() == [acc.to_dense()[0] for acc in singles]
         each = [poly_rat_recon(acc) for acc in singles]
         assert poly_rat_recon(vec) == (None if None in each else [r[0] for r in each])
+
+
+def test_interpolation_matches_the_newton_oracle():
+    """The one interpolation routine, through LagrangeAccumulator.to_dense
+    and through hermite_pade.remainder_rows (its _nodes cache, on a miss
+    and on a hit), equals the Newton form of tests/oracles at integer and
+    q-power points, sigma 1-12."""
+    rng = random.Random(28)
+    fp = ModPrime(10007)
+    hermite_pade._nodes.cache_clear()
+    checked = 0
+    for i in range(200):
+        sigma = rng.randint(1, 12)
+        q = rng.randrange(2, fp.p)
+        points = list(range(sigma)) if i % 2 else [pow(q, n, fp.p) for n in range(sigma)]
+        if len(set(points)) < sigma:
+            continue
+        rows = [[rng.randrange(fp.p) for _ in range(sigma)] for _ in range(rng.randint(1, 3))]
+        acc = LagrangeAccumulator(fp, [[] for _ in rows])
+        for j, x in enumerate(points):
+            lagrange_add(acc, x, [r[j] for r in rows])
+        expected = [newton_interpolant(points, r, fp.p) for r in rows]
+        assert acc.node == expected[0][0]
+        assert acc.to_dense() == [dense for _, dense in expected]
+        node, dense = newton_interpolant(points, [-v for v in rows[0]], fp.p)
+        for _ in range(2):
+            assert remainder_rows(rows[0], sigma, fp, points) == list(remainder_sequence(node, dense, fp))
+        checked += 1
+    assert checked > 150
 
 
 def test_lagrange_rejects_a_vector_of_the_wrong_length():
