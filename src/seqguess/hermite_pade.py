@@ -46,8 +46,12 @@ residuals are live (nonzero), so the images share them as long as their
 live patterns agree.  At a step where an image's pattern departs from
 the batch's (the union: a residual that vanishes modulo its prime only),
 that image leaves and is solved alone, and one whose points collide
-fails alone; so every image gets the basis sigma_basis gives it.  The
-lift batches the primes it reads between two reconstruction attempts.
+fails alone; so every image gets the basis sigma_basis gives it.  A
+batch keeps that bookkeeping in arrays over its images: the live
+pattern, the images that leave and the pivot multipliers; a lone image
+keeps it in Python ints.  The lift batches the images each of its levels
+reads between two reconstruction attempts: primes over Q, and the
+points of one prime over Q(t).
 
 For two streams (1, s), one extended Euclid run serves every degree
 split (remainder_rows); the search uses it when a schema has few
@@ -184,22 +188,29 @@ def sigma_bases(
     defects = list(bounds)
     maxdeg = [0] * m  # per column, an upper bound on its degree
     hi = 0  # max(maxdeg)
+    all_rows = list(range(m))
 
     for j in range(sigma):
-        rows = M[j].tolist()  # per image, the step's residuals
-        if len(rows) == 1:
-            live = [k for k in range(m) if rows[0][k]]
+        lone = len(ps) == 1
+        if lone:
+            r = M[j, 0].tolist()  # the step's residuals
+            live = [k for k in range(m) if r[k]]
+        elif M[j].all():  # every residual live: the batch's pattern
+            live = all_rows
         else:  # the batch's live pattern; an image that departs from it leaves
-            live = [k for k, col in enumerate(zip(*rows)) if any(col)]
-            stay = [a for a, r in enumerate(rows) if all(r[k] for k in live)]
-            if len(stay) < len(rows):
-                solo += [batch[a] for a in range(len(rows)) if a not in stay]
-                batch, rows, M = [batch[a] for a in stay], [rows[a] for a in stay], M[:, stay]
+            nz = M[j] != 0  # (image, row)
+            on = nz.any(axis=0)
+            stay = (nz | ~on).all(axis=1)
+            if not stay.all():
+                keep = np.flatnonzero(stay)
+                solo += [i for i, s in zip(batch, stay.tolist()) if not s]
+                batch, M = [batch[a] for a in keep.tolist()], M[:, keep]
                 if points is not None:
-                    ext = ext[:, stay]
+                    ext = ext[:, keep]
                 if not batch:
                     break
                 ps, mod2, mod3, sel, X = lanes()
+            live = np.flatnonzero(on).tolist()
         if not live:
             continue
         piv = max(live, key=lambda k: (defects[k], k))  # the last of largest defect
@@ -208,16 +219,21 @@ def sigma_bases(
         Vs = V[:, sel]  # (slot, row), or (slot, image, row) for several images
         R, cut = Vs[..., piv], sigma - j  # the pivot column of every image
         if len(live) > 1:
-            C = []  # per image, the multiple of the pivot each column adds
-            for r, p in zip(rows, ps):
+            # per image, the multiple of the pivot each column adds
+            if lone:
+                p = ps[0]
                 neg_inv = p - pow(r[piv], -1, p)
-                c = [x * neg_inv % p for x in r]
-                c[piv] = 0
-                C.append(c)
+                C = [x * neg_inv % p for x in r]
+                C[piv] = 0
+            else:  # (image, row); mod3 is (image, 1), or one int if a single image is left
+                Z = M[j]
+                neg_inv = [p - pow(x, -1, p) for x, p in zip(Z[:, piv].tolist(), ps)]
+                C = Z * np.array(neg_inv, dtype=np.int64)[:, None] % mod3
+                C[:, piv] = 0
             for k in live:
                 if k != piv:
                     maxdeg[k] = max(maxdeg[k], maxdeg[piv])
-            Vs += R[..., None] * C[sel]
+            Vs += R[..., None] * C
             V %= mod3
         # pivot <- (x - x_j) * pivot, residuals and coefficients alike
         if points is not None:

@@ -47,15 +47,15 @@ out.  One builder call reduces the terms for all of them; a lone order
 basis runs through sigma_basis, several in lockstep
 (hermite_pade.sigma_bases), at most BATCH_CELLS cells to a kernel pass.
 
-Between two attempts no image is looked at before the next one, so over
-Q, with no candidate pending, the lift reads the primes up to the next
-due count as one batch: one prime below 16 good ones, where every count
-is due.  The batch ends at the next due count because the attempt there
-may yield a candidate, and the prime after a candidate only confirms
-it.  The images are still admitted one at a time, in prime order, so the
-state, the attempts and the events are those of reading each prime
-alone; an image the solve never reaches is read for nothing.  q mode's
-point level reads one point at a time.
+Between two attempts no image is looked at before the next one, so a
+read takes every image its level admits up to the next due count and
+one more (_ahead), which judges the candidate the attempt may yield or
+else opens the next read.  Over Q the prime level reads so from the head
+on, plus ceil(c/8) primes a solve may never reach (c its good primes so
+far); the point level from a prime's second point on, with none extra,
+as every prime's points come from one rng (_inner_solve).  The images
+are still admitted one at a time, in prime and point order, so the
+state, the attempts and the events are those of reading each image alone.
 
 Most solves of a search end in NoSolution, so that outcome is kept cheap:
 do_solve reads the first image (the head) before any lift state is
@@ -172,6 +172,17 @@ def reconstruction_due(state: LiftState) -> bool:
     return due == c
 
 
+def _ahead(state: LiftState, pending) -> int:
+    """Images a level reads at once: every one it admits up to its next
+    due attempt, and the one after it, which judges the candidate that
+    attempt may give or else opens the next read.  With a candidate
+    pending, only the image that judges it."""
+    if pending is not None:
+        return 1
+    c = state.good_count
+    return next(k for k in itertools.count(2) if reconstruction_due(replace(state, good_count=c + k - 1)))
+
+
 @dataclass
 class LiftResult:
     columns: list  # per solution column, per schema monomial, dense coefficients
@@ -219,10 +230,11 @@ def _read(builder: ProblemBuilder, bounds: list[int], at: list, first: bool) -> 
     One builder call reads every image.  An image that carries a
     remainder sequence (OrderProblem.rows) needs no basis.  A lone
     image's order basis runs through sigma_basis; several run in lockstep
-    (sigma_bases), at most BATCH_CELLS cells to a kernel pass.  `first`
-    marks the first image of a level (no record to compare with yet):
-    there the order basis itself stops with NoSolution as soon as no
-    column can fit, since the raw defects equal the normal-form ones.
+    (sigma_bases), at most BATCH_CELLS cells to a kernel pass: the primes
+    of one read over Q, or the points of one prime.  `first` marks the
+    first image of a level (no record to compare with yet): there the
+    order basis itself stops with NoSolution as soon as no column can
+    fit, since the raw defects equal the normal-form ones.
     """
     probs = builder(at)
     todo = [i for i, prob in enumerate(probs) if not isinstance(prob, BadModulus) and prob.rows is None]
@@ -357,34 +369,49 @@ def _inner_solve(read, fp, opts, rng, events):
     Returns (record, shape, values) with values the Z_p coefficients of
     the per-slot num/den polynomials in t; _admit rules on points as on primes.
     BadModulus when every point is bad: the prime level then skips the prime.
+    Points are read one at a time until one sets the record, then
+    _ahead at once.  The rng must leave at the last point reached, or the
+    next prime would get other points than a one-at-a-time read: when a
+    point that outvotes the state ends the prime inside a read, the
+    prime's reached points are drawn again from its starting state.
     """
     state = LiftState(level="point", events=events)
     pending = None  # list of (num, den) per slot
-    for tau in _points(rng, fp):
-        (image,) = read([(fp, tau)], state.record is None)
-        if isinstance(image, BadModulus):
-            _emit(state, opts, "skip_point", fp.p, tau)
-            continue
-        record, flat = _solved(image)
-        if not _admit(state, record, (), opts, fp.p, tau):
-            continue
-        if state.acc is None:
-            state.acc, pending = LagrangeAccumulator(fp, [[] for _ in flat]), None
-        if pending is not None:
-            ok = _match_poly_candidate(pending, flat, tau, fp)
-            if ok:
-                shape = tuple((len(num), len(den)) for num, den in pending)
-                values = [c for num, den in pending for c in (*num, *den)]
-                return state.record, shape, values
-            if ok is False:
-                pending = None
-        lagrange_add(state.acc, tau, flat)
-        state.good_count += 1
-        if reconstruction_due(state):
-            cand = poly_rat_recon(state.acc)
-            _emit(state, opts, "point_recon", fp.p, state.good_count, cand is not None)
-            if cand is not None:
-                pending = cand
+    mark, drawn, reached = rng.getstate(), 0, 0
+    taus = _points(rng, fp)
+    for start in taus:
+        batch = [start]
+        if state.record is not None:
+            batch += itertools.islice(taus, _ahead(state, pending) - 1)
+        drawn += len(batch)
+        for tau, image in zip(batch, read([(fp, t) for t in batch], state.record is None)):
+            reached += 1
+            if isinstance(image, BadModulus):
+                _emit(state, opts, "skip_point", fp.p, tau)
+                continue
+            record, flat = _solved(image)
+            if not _admit(state, record, (), opts, fp.p, tau):
+                continue
+            if state.acc is None:
+                state.acc, pending = LagrangeAccumulator(fp, [[] for _ in flat]), None
+            if pending is not None:
+                ok = _match_poly_candidate(pending, flat, tau, fp)
+                if ok:
+                    if reached < drawn:  # a point that outvoted the state cut the read short
+                        rng.setstate(mark)
+                        list(itertools.islice(_points(rng, fp), reached))
+                    shape = tuple((len(num), len(den)) for num, den in pending)
+                    values = [c for num, den in pending for c in (*num, *den)]
+                    return state.record, shape, values
+                if ok is False:
+                    pending = None
+            lagrange_add(state.acc, tau, flat)
+            state.good_count += 1
+            if reconstruction_due(state):
+                cand = poly_rat_recon(state.acc)
+                _emit(state, opts, "point_recon", fp.p, state.good_count, cand is not None)
+                if cand is not None:
+                    pending = cand
     if state.record is None:  # the first image read sets the record
         raise BadModulus(f"every point mod {fp.p} is bad")
     raise ReconstructionAborted(f"inner level exhausted {INNER_DRAWS} points mod {fp.p}")
@@ -486,19 +513,23 @@ def do_solve(builder: ProblemBuilder, bounds: list[int], domain: str = "rational
 
 def _lift(builder: ProblemBuilder, bounds: list[int], domain: str, opts: LiftOptions, head: tuple) -> LiftResult:
     """The prime level of do_solve; its first image is the head (p,
-    t_point, image), which no read solves again.
+    t_point, image), which no read solves again, alone or inside a batch.
 
-    Over Q, with no candidate pending, the primes up to the next due
-    attempt are read as one batch: no image between two attempts is
-    looked at before the next one, so reading them ahead changes nothing
-    but the cost.  Its images are still admitted one at a time, in prime
-    order.
+    Over Q each read takes the primes up to the next due attempt, the one
+    after it and ceil(c/8) more (see _ahead): no image between two
+    attempts is looked at before the next one, so reading them ahead
+    changes nothing but the cost.  Its images are still admitted one at
+    a time, in prime order.  Over Q(t) each prime is a point-level lift
+    (_inner_solve), read one at a time.
     """
 
     def read(at, first):
-        if [(fp.p, tau) for fp, tau in at] == [head[:2]]:
-            return [head[2]]
-        return _read(builder, bounds, at, first)
+        keys = [(fp.p, tau) for fp, tau in at]
+        if head[:2] not in keys:
+            return _read(builder, bounds, at, first)
+        rest = [x for x, key in zip(at, keys) if key != head[:2]]  # later images, or BadModulus ones before it
+        got = iter(_read(builder, bounds, rest, False) if rest else ())
+        return [head[2] if key == head[:2] else next(got) for key in keys]
 
     rng = random.Random(opts.seed) if domain == "polyrational" else None  # q points
     state = LiftState(level="prime")
@@ -506,10 +537,8 @@ def _lift(builder: ProblemBuilder, bounds: list[int], domain: str, opts: LiftOpt
     fields = _fields(opts)
     for start in fields:
         batch = [start]
-        if domain == "rational" and pending is None:
-            c = state.good_count
-            gap = next(k for k in itertools.count(1) if reconstruction_due(replace(state, good_count=c + k)))
-            batch += itertools.islice(fields, gap - 1)
+        if domain == "rational":
+            batch += itertools.islice(fields, _ahead(state, pending) - 1 + -(-state.good_count // RECON_GROWTH))
         images = read([(fp, None) for fp in batch], state.record is None) if domain == "rational" else [None]
         for fp, image in zip(batch, images):
             p = fp.p

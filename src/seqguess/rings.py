@@ -150,6 +150,12 @@ def pmul_trunc(a: list, b: list, order: int, F) -> list:
 
 
 def peval(a: list, x, F):
+    """a(x) by Horner; over Z_p in plain ints, one reduction per coefficient."""
+    if isinstance(F, ModPrime):
+        p, acc = F.p, 0
+        for c in reversed(a):
+            acc = (acc * x + c) % p
+        return acc
     acc = F.zero
     for c in reversed(a):
         acc = F.add(F.mul(acc, x), c)

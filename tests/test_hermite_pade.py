@@ -405,3 +405,38 @@ def test_need_solution_stops_a_batch_early(series):
     assert all(isinstance(g, NoSolution) for g in got)
     got = _assert_each_image_alone(streams, [5, 5], sigma, fps, points, need_solution=True)
     assert all(max(g.defects) >= 1 for g in got)
+
+
+@pytest.mark.parametrize("series", [False, True], ids=["sequence", "series"])
+def test_lockstep_images_at_one_prime_equal_each_image_alone(series, monkeypatch):
+    """The batches of the lift's q-point level: K images modulo one prime,
+    each with its own streams and, in the sequence form, its own points
+    (the powers of its evaluation point, as in q mode)."""
+    rng = random.Random(60 + series)
+    solo = _count_solo(monkeypatch)
+    seen = set()
+    for trial in range(150):
+        fp, K = rng.choice(LOCKSTEP_PRIMES), rng.randint(2, 10)
+        m = rng.randint(2, 4)
+        bounds = [rng.randint(1, 4) for _ in range(m)]
+        sigma = rng.randint(1, sum(bounds) + 3)
+        taus = [rng.randrange(1, fp.p) for _ in range(K)]
+        points = None if series else [[pow(t, j, fp.p) for j in range(sigma)] for t in taus]
+        # half the time one planted relation, whose last stream cancels the others at every image
+        vec = [[rng.randint(-9, 9) for _ in range(b)] for b in bounds[:-1]]
+        planted = rng.random() < 0.5
+        streams = []
+        for i in range(K):
+            image = [[rng.randrange(fp.p) for _ in range(sigma)] for _ in range(m)]
+            for j in range(sigma if planted else 0):
+                if series:
+                    acc = sum(c[e] * s[j - e] for c, s in zip(vec, image) for e in range(min(len(c), j + 1)))
+                else:
+                    acc = sum(sum(ce * pow(points[i][j], e, fp.p) for e, ce in enumerate(c)) * s[j]
+                              for c, s in zip(vec, image))
+                image[-1][j] = -acc % fp.p
+            streams.append(image)
+        for out in _assert_each_image_alone(streams, bounds, sigma, [fp] * K, points, trial % 3 == 0):
+            seen.add(type(out).__name__)
+    assert solo[0] > 0  # some image left its batch
+    assert seen >= {"SigmaBasisResult", "NoSolution"} | (set() if series else {"BadModulus"})

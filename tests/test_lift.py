@@ -388,7 +388,7 @@ _PLANTED_HELD_OUT = 6
 def _planted_prec(draw):
     """(order, degree, coefficient polynomials c_k, initial terms) of
     f(n + order) = -sum_k c_k(n) f(n + k), coefficients of 1 to 80 digits:
-    past about 70 the solve runs past 16 primes and reads batches."""
+    past about 70 the solve runs past 16 primes, where the attempts space out."""
     order, deg, digits = draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(st.sampled_from(range(1, 81)))
     coeff = st.builds(int.__mul__, st.sampled_from((1, -1)), st.integers(10 ** (digits - 1), 10**digits - 1))
     coeffs = draw(st.lists(st.lists(coeff, min_size=deg + 1, max_size=deg + 1), min_size=order, max_size=order))
@@ -413,8 +413,9 @@ def test_planted_recurrence_is_recovered(planted):
 
 
 # ---------------------------------------------------------------------------
-# batches: past 16 good primes the images up to the next attempt are read
-# at once; read one at a time instead, every solve ends the same
+# batches: each read takes the images up to the next attempt and the one
+# after it (over Q, plus ceil(c/8) primes); read one at a time instead,
+# every solve ends the same
 
 
 _READ = lift._read
@@ -464,7 +465,7 @@ def test_batched_images_change_no_planted_solve(case, monkeypatch):
     terms, _ = gen_prec_terms(order, deg, fit, seed, digits)
     batches = _assert_batches_change_nothing(
         lambda: guess_prec(terms, homogeneous=1, max_shift=order, max_degree=deg), monkeypatch)
-    assert bool(batches) == (digits >= 100)  # the cases past 16 primes read batches of 2 and more
+    assert batches  # every case needs more than one prime, and reads batches of 2 and more
     assert all(k >= 2 for k in batches)
 
 
@@ -496,6 +497,182 @@ def test_a_bad_prime_inside_a_batch_is_dropped_as_alone(monkeypatch):
     assert (res.columns, res.record, res.state.events) == (alone.columns, alone.record, alone.state.events)
     assert ("bad_prime", q) in res.state.events and res.columns == [[[F(0), F(1, A), F(1)], [F(-1, A)]]]
     assert any(q in b and len(b) >= 2 for b in batches)
+
+
+def _unreached(run, monkeypatch):
+    """Per do_solve of run() that a confirming prime ends: the primes it
+    read but never reached (read after the confirming one), at most
+    ceil(c/8), and its good primes c (crt_combine calls)."""
+    guess_module = sys.modules["seqguess.guess"]
+    solve, combine, reads, goods, out = guess_module.do_solve, lift.crt_combine, [], [], []
+
+    def recording(*args):
+        reads.append([])
+        goods.append(0)
+        res = solve(*args)
+        if res.state.events[-1][0] == "validated":
+            read = list(dict.fromkeys(reads[-1]))  # distinct primes, in read order
+            out.append((len(read) - 1 - read.index(res.state.events[-1][1]), goods[-1]))
+        return res
+
+    def reading(builder, bounds, at, first):
+        reads[-1].extend(fp.p for fp, _ in at)
+        return _READ(builder, bounds, at, first)
+
+    def combining(acc, flat, p):
+        goods[-1] += 1
+        return combine(acc, flat, p)
+
+    monkeypatch.setattr(guess_module, "do_solve", recording)
+    monkeypatch.setattr(lift, "_read", reading)
+    monkeypatch.setattr(lift, "crt_combine", combining)
+    run()
+    monkeypatch.undo()
+    assert out
+    for unreached, c in out:
+        assert unreached <= -(-c // lift.RECON_GROWTH)
+    return out
+
+
+@pytest.mark.parametrize("case", BIG_PLANTED)
+def test_a_planted_solve_reads_at_most_c_over_8_primes_it_never_reaches(case, monkeypatch):
+    order, deg, digits, fit, seed = case
+    terms, _ = gen_prec_terms(order, deg, fit, seed, digits)
+    _unreached(lambda: guess_prec(terms, homogeneous=1, max_shift=order, max_degree=deg), monkeypatch)
+
+
+def test_a_bigcoef_workload_solve_reads_at_most_c_over_8_primes_it_never_reaches(monkeypatch, bench_workloads):
+    unreached = []
+    for case in bench_workloads.build("bigcoef_lift", 1, seqguess):
+        unreached += [n for n, _ in _unreached(case.run, monkeypatch)]
+    assert max(unreached) >= 2  # the extra primes are read
+
+
+# q mode: the point level reads a prime's points from its second one on
+# in batches; read one point at a time, with none drawn ahead, the same
+# points are read in the same order
+
+
+def _q_reads(run, monkeypatch, batched, batches=None):
+    """(p, t) of every image read, in order, every do_solve's columns,
+    record and events, and run()'s own outcome; the size of each read of
+    several images goes to `batches`."""
+    guess_module = sys.modules["seqguess.guess"]
+    solve, read, reads, outcomes = guess_module.do_solve, _READ if batched else _one_at_a_time, [], []
+
+    def recording(*args):
+        res = solve(*args)
+        outcomes.append((res.columns, res.record, res.state.events))
+        return res
+
+    def reading(builder, bounds, at, first):
+        reads.extend((fp.p, t) for fp, t in at)
+        if batches is not None and len(at) > 1:
+            batches.append(len(at))
+        return read(builder, bounds, at, first)
+
+    monkeypatch.setattr(guess_module, "do_solve", recording)
+    monkeypatch.setattr(lift, "_read", reading)
+    if not batched:
+        monkeypatch.setattr(lift, "_ahead", lambda state, pending: 1)
+    got = run()
+    monkeypatch.undo()
+    return reads, outcomes, got
+
+
+def _lifted(res):
+    return res.columns, res.record, res.state.events
+
+
+def _t_plus_j(fp, t_point):
+    return OrderProblem(streams=[[1, 1, 1], [(t_point + j) % fp.p for j in range(3)]], points=[0, 1, 2], sigma=3)
+
+
+def _bad_at_5(fp, t_point):
+    if fp.p == 5:
+        raise BadModulus("every point is bad mod 5")
+    return _t_plus_j(fp, t_point)
+
+
+def _first_incompatible():
+    calls = []
+
+    def build(fp, t_point):
+        calls.append(t_point)
+        streams = [[2, 2], [0, 0]] if len(calls) == 1 else [[-3, 3], [-2, 2]]
+        return OrderProblem(streams=[[v % fp.p for v in s] for s in streams], points=[0, 1], sigma=2)
+
+    return image_list(build)
+
+
+def _quadratic_in_t(fp, t_point):
+    """c0 = x + P(t), c1 = -1 with P of degree 4: the point level needs 6 points."""
+    P = [3, 1, 2, 5, 7]
+    return OrderProblem(streams=[[1, 1, 1], [(peval(P, t_point, fp) + j) % fp.p for j in range(3)]],
+                        points=[0, 1, 2], sigma=3)
+
+
+Q_EXAMPLES = {
+    "t + j": lambda: _lifted(do_solve(image_list(_t_plus_j), [2, 1], "polyrational", LiftOptions(seed=2))),
+    "t + j, seed 9": lambda: _lifted(do_solve(image_list(_t_plus_j), [2, 1], "polyrational", LiftOptions(seed=9))),
+    "every point bad mod 5": lambda: _lifted(
+        do_solve(image_list(_bad_at_5), [2, 1], "polyrational", LiftOptions(seed=2, primes=[5]))),
+    "incompatible first point": lambda: _lifted(
+        do_solve(_first_incompatible(), [2, 2], "polyrational", LiftOptions(seed=1))),
+    "degree 4 in t": lambda: _lifted(
+        do_solve(image_list(_quadratic_in_t), [2, 1], "polyrational", LiftOptions(seed=3, primes=[10007]))),
+    "head after a skipped prime": lambda: [
+        str(r) for r in seqguess.guess_rat([RatPoly.make([1] * n, [P0]) for n in range(8)], q=True)],
+    "planted q-recurrence": lambda: [
+        str(r) for r in guess_prec([RatPoly.make([1, 2, 0, -1]) ** n for n in range(8)], q=True, max_shift=1)],
+}
+
+
+@pytest.mark.parametrize("run", Q_EXAMPLES.values(), ids=Q_EXAMPLES.keys())
+def test_point_batches_read_the_points_one_at_a_time_reads(run, monkeypatch):
+    batches = []
+    batched = _q_reads(run, monkeypatch, True, batches)
+    assert batched == _q_reads(run, monkeypatch, batched=False)
+    assert batches or run is Q_EXAMPLES["incompatible first point"]  # a candidate is pending at every read there
+
+
+def test_point_batches_change_no_q_workload_solve(monkeypatch, bench_workloads):
+    cases = [case for case in bench_workloads.build("series_verify", 1, seqguess) if case.label.startswith("q ")]
+    assert len(cases) == 3
+    batches = []
+    for case in cases:
+        batched = _q_reads(lambda: [str(r) for r in case.run()], monkeypatch, True, batches)
+        assert batched == _q_reads(lambda: [str(r) for r in case.run()], monkeypatch, batched=False), case.label
+    assert batches
+
+
+def test_a_point_that_outvotes_the_state_inside_a_read_shifts_no_later_point(monkeypatch):
+    """At the first prime, the first two points see f(n) = t n (a larger
+    solution space), the later ones f(n) = 7 n^2 + n.  After two points
+    the lift reads points 3-5 at once; point 3 outvotes the state and
+    point 4 confirms the constant candidate, so point 5 is read but never
+    reached.  The next prime still gets the points a one-at-a-time read
+    draws for it."""
+    fp, seed = ModPrime(1000003), 4
+    taus = list(itertools.islice(lift._points(random.Random(seed), fp), 5))
+
+    def build(p, t_point):
+        if p.p == fp.p and t_point in taus[:2]:
+            values = [t_point * j for j in range(5)]
+        else:
+            values = [7 * j * j + j for j in range(5)]
+        return OrderProblem(streams=[[1] * 5, [v % p.p for v in values]], points=list(range(5)), sigma=5)
+
+    def run():
+        return _lifted(do_solve(image_list(build), [3, 2], "polyrational", LiftOptions(seed=seed, primes=[fp.p])))
+
+    reads, _, got = _q_reads(run, monkeypatch, batched=True)
+    alone_reads, _, alone = _q_reads(run, monkeypatch, batched=False)
+    assert got == alone and ("all_bad_points", fp.p, taus[2]) in got[2]
+    assert [t for p, t in reads if p == fp.p] == taus  # the fifth point is read ...
+    assert [t for p, t in alone_reads if p == fp.p] == taus[:4]  # ... but never reached
+    later = [r for r in reads if r[0] != fp.p]
+    assert later and later == [r for r in alone_reads if r[0] != fp.p]
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,12 @@ from pathlib import Path
 
 import pytest
 
+from oracles import newton_interpolant
 from seqguess import guess_alg, guess_pade, guess_rat, hermite_pade
 from seqguess.errors import BadModulus
 from seqguess.hermite_pade import remainder_rows, sigma_basis
 from seqguess.modarith import ModPrime, sample_prime
-from seqguess.rings import LagrangeAccumulator, RatPoly, lagrange_add, pdeg, pmul, psub, remainder_sequence
+from seqguess.rings import RatPoly, pdeg, pmul, psub, remainder_sequence
 from seqguess.sigma_normalize import pair_normalize, sigma_normalize
 
 lift = importlib.import_module("seqguess.lift")
@@ -76,7 +77,7 @@ def test_pair_normal_form_equals_order_basis_normal_form():
 
 def test_cached_interpolation_equals_newton_interpolation():
     """remainder_rows' interpolant, from the cached node polynomial and
-    weights, equals the Newton-form one at integer and q-power points, on
+    weights, equals the Newton-form one (tests/oracles) at integer and q-power points, on
     a cache miss and on a hit; the cache keeps at most NODE_CACHE point
     sets, each of sigma + 1 and sigma ints."""
     rng = random.Random(25)
@@ -91,10 +92,7 @@ def test_cached_interpolation_equals_newton_interpolation():
             with pytest.raises(BadModulus):
                 remainder_rows(s, sigma, fp, points)
             continue
-        acc = LagrangeAccumulator(fp, [[]])
-        for x, v in zip(points, s):
-            lagrange_add(acc, x, [-v])
-        newton = list(remainder_sequence(acc.node, acc.to_dense()[0], fp))
+        newton = list(remainder_sequence(*newton_interpolant(points, [-v for v in s], fp.p), fp))
         assert remainder_rows(s, sigma, fp, points) == newton == remainder_rows(s, sigma, fp, points)
         M, w = hermite_pade._nodes(fp.p, tuple(points))
         assert len(M) == sigma + 1 and len(w) == sigma

@@ -54,6 +54,26 @@ def test_poly_basic_ops():
     assert peval([1, 2, 3], F(2), QQ) == 17
 
 
+def _field_horner(a, x, fp):
+    acc = fp.zero
+    for c in reversed(a):
+        acc = fp.add(fp.mul(acc, x), c)
+    return acc
+
+
+def test_peval_mod_p_equals_the_field_horner():
+    """The plain-int Horner over Z_p equals the field-generic one, also on
+    negative and unreduced coefficients and points, at x = 0 and on []."""
+    rng = random.Random(29)
+    for p in (2, 3, 97, 10007, 2**31 - 1):
+        fp = ModPrime(p)
+        for _ in range(200):
+            a = [rng.randint(-3 * p, 3 * p) for _ in range(rng.randint(0, 8))]
+            x = rng.choice((0, rng.randint(-3 * p, 3 * p)))
+            assert peval(a, x, fp) == _field_horner(a, x, fp)
+        assert peval([], 5, fp) == 0 and peval([-1, 7], 0, fp) == (-1) % p
+
+
 def test_pdivmod_euclidean_property():
     fp = ModPrime(97)
     rng = random.Random(11)
